@@ -25,8 +25,9 @@ test:
 # trees). Finally the churn smoke: a 10^6-operation insert/delete/update
 # stream whose arena must equal a fresh rebuild of the survivors, with
 # trial fan-out byte-identical at jobs 1/2/4. The serve smoke: spawn
-# `popan serve` at jobs 1/2/4, drive two framed 10k-query mixed batches
-# through the wire protocol while the churn writer publishes epochs,
+# `popan serve` at jobs 1/2/4, drive four framed 10k-query mixed batches
+# through the wire protocol while the churn writer publishes epochs
+# (epochs 2 and 3 come from arenas brought forward by replay),
 # verify every response byte-for-byte against an in-process sequential
 # oracle — with Morton batch-sorting on (the default) AND under
 # --no-batch-sort, so the schedule provably never reaches the wire —
@@ -37,7 +38,8 @@ test:
 # telemetry under churn, self-warm two batches, scrape it once with
 # `popan obs top --prom --quit` (the quit also proves a client can shut
 # the accept loop down), and require the exposition to pass the
-# Prometheus line-grammar validator. Finally the pruning gate: when the
+# Prometheus line-grammar validator and to carry a positive
+# serve.epoch.resident_bytes gauge (both epoch arenas' footprint). Finally the pruning gate: when the
 # bench trajectory JSON is present, the paired 2^22 rows must show the
 # pruned count-in-box >= 5x the unpruned walk at 90% selectivity.
 check: build test
@@ -122,12 +124,17 @@ check: build test
 	  > $$tmp/prom.txt; \
 	wait $$pid || { echo "obs-top smoke FAILED: server exited unclean"; \
 	  cat $$tmp/serve.log; rm -rf $$tmp; exit 1; }; \
-	if dune exec --no-build bin/popan.exe -- obs validate $$tmp/prom.txt; then \
-	  echo "obs-top smoke: live scrape over the socket validates as Prometheus"; \
-	  rm -rf $$tmp; \
-	else \
+	if ! dune exec --no-build bin/popan.exe -- obs validate $$tmp/prom.txt; then \
 	  echo "obs-top smoke FAILED: scraped exposition did not validate"; \
 	  cat $$tmp/serve.log; rm -rf $$tmp; exit 1; \
+	fi; \
+	if awk '$$1 == "popan_serve_epoch_resident_bytes" && $$2 + 0 > 0 { found = 1 } \
+	       END { exit !found }' $$tmp/prom.txt; then \
+	  echo "obs-top smoke: live scrape validates as Prometheus, epoch resident bytes reported"; \
+	  rm -rf $$tmp; \
+	else \
+	  echo "obs-top smoke FAILED: no positive serve.epoch.resident_bytes gauge in the scrape"; \
+	  rm -rf $$tmp; exit 1; \
 	fi
 	@if [ -f BENCH_PR10.json ]; then \
 	  if grep -qF '"popan/query:count-in-box pruned sel=90% n=65536"' BENCH_PR10.json \

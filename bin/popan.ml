@@ -1428,6 +1428,18 @@ let render_telemetry socket (t : Popan_serve.Wire.telemetry) =
                  epoch%s\n"
     socket t.epoch t.size t.batches t.live_epochs
     (if t.live_epochs = 1 then "" else "s");
+  let gauge name =
+    match Obs_json.parse t.metrics_json with
+    | Error _ -> None
+    | Ok j ->
+      Option.bind (Obs_json.member "gauges" j) (fun g ->
+          Option.bind (Obs_json.member name g) Obs_json.number_opt)
+  in
+  (match gauge "serve.epoch.resident_bytes" with
+  | Some bytes when bytes > 0.0 ->
+    Printf.printf "  epoch memory: %.1f MiB resident over both slots\n"
+      (bytes /. 1048576.0)
+  | _ -> ());
   let find name =
     Option.map snd (Array.find_opt (fun (n, _) -> n = name) t.sketches)
   in
@@ -1645,7 +1657,7 @@ let serve_cmd =
   in
   let mmap_term =
     let doc =
-      "Back the live arena's point columns with mmap segment files under \
+      "Back epoch 0's arena point columns with mmap segment files under \
        $(docv); shutdown releases them."
     in
     Arg.(value & opt (some string) None & info [ "mmap" ] ~docv:"DIR" ~doc)
@@ -1703,8 +1715,9 @@ let serve_cmd =
        ~doc:
          "Serve batched spatial queries (range / k-NN / point-in-cell) over \
           the framed wire protocol, answering each batch from a pinned \
-          epoch snapshot while a concurrent churn writer publishes the \
-          next epoch. Responses are byte-identical at every -j.")
+          epoch while a concurrent churn writer brings the standby arena \
+          forward and publishes it as the next epoch. Responses are \
+          byte-identical at every -j.")
     term
 
 let main_cmd =

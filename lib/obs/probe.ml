@@ -345,6 +345,8 @@ let serve_epochs_retired = Metrics.counter "serve.epochs.retired"
 let serve_queue_depth = Metrics.gauge ~stable:false "serve.queue.depth"
 let serve_epoch_id = Metrics.gauge ~stable:false "serve.epoch.id"
 let serve_epoch_age = Metrics.gauge ~stable:false "serve.epoch.age.batches"
+let serve_epoch_resident =
+  Metrics.gauge ~stable:false "serve.epoch.resident_bytes"
 
 (* Log-spaced bounds (three per decade, 1us .. 100s) instead of the
    coarse [seconds_bounds]: serve batches cluster within one decade, so
@@ -432,10 +434,11 @@ let serve_batch ~queries ~jobs f =
     ~args:[ ("queries", Trace.Int queries); ("jobs", Trace.Int jobs) ]
     serve_batch_seconds f
 
-let serve_publish ~epoch ~size =
+let serve_publish ~epoch ~size ~resident_bytes =
   Metrics.incr serve_epochs_published;
   Metrics.set_gauge serve_epoch_id (float_of_int epoch);
   Metrics.set_gauge serve_epoch_age 0.0;
+  Metrics.set_gauge serve_epoch_resident (float_of_int resident_bytes);
   Event.emit "serve.epoch.publish"
     [ ("epoch", Event.Int epoch); ("size", Event.Int size) ]
 

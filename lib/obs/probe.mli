@@ -234,19 +234,20 @@ val serve_query_done :
     buckets per decade, 1us–100s) [serve.batch.seconds] histogram. *)
 val serve_batch : queries:int -> jobs:int -> (unit -> 'a) -> 'a
 
-(** [serve_publish ~epoch ~size] counts an epoch publication
-    ([serve.epochs.published]), resets the [serve.epoch.id] /
-    [serve.epoch.age.batches] gauges and emits a [serve.epoch.publish]
-    event. *)
-val serve_publish : epoch:int -> size:int -> unit
+(** [serve_publish ~epoch ~size ~resident_bytes] counts an epoch
+    publication ([serve.epochs.published]), resets the [serve.epoch.id]
+    / [serve.epoch.age.batches] gauges, sets the unstable
+    [serve.epoch.resident_bytes] gauge (both epoch slots' arenas) and
+    emits a [serve.epoch.publish] event. *)
+val serve_publish : epoch:int -> size:int -> resident_bytes:int -> unit
 
 (** [serve_pin ~epoch] emits a [Debug]-level [serve.epoch.pin] event —
     below the default stderr mirror, visible in the event ring. *)
 val serve_pin : epoch:int -> unit
 
-(** [serve_retire ~epoch] counts an epoch whose last pin dropped and
-    whose arena was reclaimed ([serve.epochs.retired]); emits
-    [serve.epoch.retire]. *)
+(** [serve_retire ~epoch] counts an epoch whose arena the writer has
+    started to overwrite, or that shutdown dropped
+    ([serve.epochs.retired]); emits [serve.epoch.retire]. *)
 val serve_retire : epoch:int -> unit
 
 (** [serve_epoch_batch ~age] sets [serve.epoch.age.batches] — batches

@@ -4,7 +4,7 @@ type epoch = {
   id : int;
   arena : Pr_arena.t;
   mutable pins : int;
-  mutable retired : bool;
+  mutable retired : bool;  (* its arena has been (or is being) overwritten *)
 }
 
 let id e = e.id
@@ -14,52 +14,86 @@ let pins e = e.pins
 type t = {
   mutex : Mutex.t;
   mutable current : epoch;
-  (* Every published epoch whose arena is still alive: the current one
-     plus superseded epochs kept alive by readers' pins. *)
-  mutable live : epoch list;
+  (* The other arena. While [standby.retired] is false it still holds
+     the superseded epoch [standby.id], which readers may pin; once a
+     write retires it, it is the writer's alone. The twin made at
+     [create] holds no epoch and starts out retired (id -1). *)
+  mutable standby : epoch;
+  mutable writing : bool;  (* a write is in flight, or one failed *)
   mutable next_id : int;
 }
 
-(* Retirement is the only place an epoch arena is reclaimed. A
-   heap-backed snapshot has nothing to release (the GC takes it once
-   unreachable); releasing anyway keeps the mmap story uniform for a
-   thawed or copied mmap arena handed to [publish]. *)
-let retire e =
-  if not e.retired then begin
-    e.retired <- true;
-    Pr_arena.release e.arena;
-    Probe.serve_retire ~epoch:e.id
-  end
-
-let sweep t =
-  let keep, drop =
-    List.partition (fun e -> e.id = t.current.id || e.pins > 0) t.live
-  in
-  List.iter retire drop;
-  t.live <- keep
+let resident t =
+  Pr_arena.resident_bytes t.current.arena
+  + Pr_arena.resident_bytes t.standby.arena
 
 let create arena =
   let e = { id = 0; arena; pins = 0; retired = false } in
-  Probe.serve_publish ~epoch:0 ~size:(Pr_arena.size arena);
-  { mutex = Mutex.create (); current = e; live = [ e ]; next_id = 1 }
+  let twin =
+    { id = -1; arena = Pr_arena.snapshot arena; pins = 0; retired = true }
+  in
+  let t =
+    {
+      mutex = Mutex.create ();
+      current = e;
+      standby = twin;
+      writing = false;
+      next_id = 1;
+    }
+  in
+  Probe.serve_publish ~epoch:0 ~size:(Pr_arena.size arena)
+    ~resident_bytes:(resident t);
+  t
 
 let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-let publish t arena =
+let retire e =
+  if not e.retired then begin
+    e.retired <- true;
+    Probe.serve_retire ~epoch:e.id
+  end
+
+let write t f =
+  let arena =
+    locked t (fun () ->
+        let s = t.standby in
+        if s.pins > 0 then
+          invalid_arg
+            (Printf.sprintf "Epoch.write: epoch %d is still pinned" s.id);
+        retire s;
+        t.writing <- true;
+        s.arena)
+  in
+  (* Outside the lock: only the current epoch can be pinned, so no
+     reader can reach this arena until [publish] swaps it in. On an
+     exception [writing] stays set and the torn standby is never
+     published. *)
+  let r = f arena in
+  locked t (fun () -> t.writing <- false);
+  r
+
+let publish t =
   locked t (fun () ->
-      let e = { id = t.next_id; arena; pins = 0; retired = false } in
+      if t.writing then invalid_arg "Epoch.publish: the standby is torn";
+      if not t.standby.retired then
+        invalid_arg "Epoch.publish: nothing written since the last publish";
+      let e =
+        { id = t.next_id; arena = t.standby.arena; pins = 0; retired = false }
+      in
       t.next_id <- t.next_id + 1;
+      t.standby <- t.current;
       t.current <- e;
-      t.live <- e :: t.live;
-      sweep t;
-      Probe.serve_publish ~epoch:e.id ~size:(Pr_arena.size arena);
+      Probe.serve_publish ~epoch:e.id ~size:(Pr_arena.size e.arena)
+        ~resident_bytes:(resident t);
       e)
 
 let current t = locked t (fun () -> t.current)
 let current_id t = locked t (fun () -> t.current.id)
-let live_count t = locked t (fun () -> List.length t.live)
+
+let live_count t =
+  locked t (fun () -> if t.standby.pins > 0 then 2 else 1)
 
 let pin t =
   locked t (fun () ->
@@ -71,13 +105,15 @@ let pin t =
 let unpin t e =
   locked t (fun () ->
       if e.pins <= 0 then invalid_arg "Epoch.unpin: epoch not pinned";
-      e.pins <- e.pins - 1;
-      sweep t)
+      e.pins <- e.pins - 1)
 
 let shutdown t =
   locked t (fun () ->
-      List.iter retire t.live;
-      t.live <- [])
+      List.iter
+        (fun e ->
+          retire e;
+          Pr_arena.release e.arena)
+        [ t.standby; t.current ])
 
 let check_invariants t =
   locked t (fun () ->
@@ -85,26 +121,28 @@ let check_invariants t =
       let report fmt =
         Format.kasprintf (fun s -> problems := !problems @ [ s ]) fmt
       in
-      if not (List.exists (fun e -> e.id = t.current.id) t.live) then
-        report "current epoch %d is not in the live list" t.current.id;
-      let ids = List.map (fun e -> e.id) t.live in
-      if List.length (List.sort_uniq compare ids) <> List.length ids then
-        report "duplicate epoch ids in the live list";
+      let c = t.current and s = t.standby in
+      if c.retired then report "current epoch %d is retired" c.id;
+      if c.id >= t.next_id then
+        report "current epoch %d at or above the next id %d" c.id t.next_id;
       List.iter
         (fun e ->
-          if e.retired then report "epoch %d is retired but still live" e.id;
-          if e.pins < 0 then report "epoch %d has negative pin count" e.id;
-          if e.id <> t.current.id && e.pins = 0 then
-            report "superseded epoch %d unpinned but not reclaimed" e.id;
-          if e.id >= t.next_id then
-            report "epoch %d at or above the next id %d" e.id t.next_id;
-          (* Cross-epoch slot ownership: each epoch's arena must account
-             for every one of its own slots (stored + free lists tile the
-             high-water mark). Snapshots share no columns, so a slot
-             freed in one epoch can never corrupt another — this audit
-             catches any future scheme that breaks that disjointness. *)
-          List.iter
-            (fun p -> report "epoch %d: %s" e.id p)
-            (Pr_arena.check_invariants e.arena))
-        t.live;
+          if e.pins < 0 then report "epoch %d has negative pin count" e.id)
+        [ c; s ];
+      if s.pins > 0 && s.retired then
+        report "standby epoch %d is pinned but overwritten" s.id;
+      if (not s.retired) && s.id <> c.id - 1 then
+        report "standby holds epoch %d, not the predecessor of %d" s.id c.id;
+      (* Slot ownership: the two slots must be distinct arenas, each
+         accounting for every one of its own slots (stored + free lists
+         tile the high-water mark), or the writer's replay on one would
+         corrupt the epoch readers query on the other. *)
+      if c.arena == s.arena then report "current and standby share one arena";
+      let audit e =
+        List.iter
+          (fun p -> report "epoch %d: %s" e.id p)
+          (Pr_arena.check_invariants e.arena)
+      in
+      audit c;
+      if not t.writing then audit s;
       !problems)

@@ -148,7 +148,7 @@ type config = {
   insert_fraction : float;
   update_fraction : float;
   drift_sigma : float;
-  mmap_dir : string option;  (** back the live arena's columns with mmap *)
+  mmap_dir : string option;  (** back epoch 0's arena columns with mmap *)
   batch_sort : bool;  (** Morton-sort batch work (response bytes unchanged) *)
 }
 
@@ -170,9 +170,11 @@ type t = {
   config : config;
   pool : Parallel.Pool.t;
   owns_pool : bool;
-  live : Pr_arena.t;  (** the writer's arena; only the writer touches it *)
   epochs : Epoch.t;
   churn : (Workload.Churn.spec * Workload.Churn.state) option;
+  mutable slice : Workload.Churn.event array;
+      (** the churn ops that took the standby's epoch to the current one;
+          only the writer touches it *)
   mutable batches : int;
   mutable epoch_batches : int;  (** batches answered from the current epoch *)
 }
@@ -197,7 +199,7 @@ let create ?pool config =
   let backing =
     Option.map (fun dir -> Pr_arena.Mmap { dir }) config.mmap_dir
   in
-  let live = Pr_arena.of_points_bulk ?backing ~capacity:config.capacity base in
+  let arena = Pr_arena.of_points_bulk ?backing ~capacity:config.capacity base in
   let pool, owns_pool =
     match pool with
     | Some p -> (p, false)
@@ -207,9 +209,9 @@ let create ?pool config =
     config;
     pool;
     owns_pool;
-    live;
-    epochs = Epoch.create (Pr_arena.snapshot live);
+    epochs = Epoch.create arena;
     churn = (if config.churn_ops > 0 then Some (spec, state) else None);
+    slice = [||];
     batches = 0;
     epoch_batches = 0;
   }
@@ -218,32 +220,40 @@ let epochs t = t.epochs
 let pool t = t.pool
 let batches t = t.batches
 
-let apply_churn t ops =
-  match t.churn with
-  | None -> ()
-  | Some (spec, state) ->
-    for _ = 1 to ops do
-      match Workload.Churn.step spec state with
-      | Workload.Churn.Insert p -> Pr_arena.insert t.live p
-      | Workload.Churn.Delete p -> ignore (Pr_arena.delete t.live p : bool)
-      | Workload.Churn.Update (p, q) ->
-        ignore (Pr_arena.update t.live p q : bool)
-    done
+let apply arena = function
+  | Workload.Churn.Insert p -> Pr_arena.insert arena p
+  | Workload.Churn.Delete p -> ignore (Pr_arena.delete arena p : bool)
+  | Workload.Churn.Update (p, q) -> ignore (Pr_arena.update arena p q : bool)
 
-(* Answer one batch from a pinned epoch while the churn writer advances
-   the live arena on its own domain. The overlap is real — the writer
-   mutates [t.live] during the batch — but readers only ever see the
-   pinned snapshot, which shares nothing with [t.live], so answers are
+(* Bring the standby two epochs forward: it holds the epoch before the
+   current one, so replay the slice that produced the current epoch,
+   then draw and apply the next slice of the churn stream. Both arenas
+   started as one arena and its snapshot, and insert/delete/update are
+   deterministic down to slot and node-block reuse, so the standby ends
+   up exactly the arena a copy-per-batch writer would have published. *)
+let advance t spec state standby =
+  Array.iter (apply standby) t.slice;
+  t.slice <-
+    Array.init t.config.churn_ops (fun _ ->
+        let op = Workload.Churn.step spec state in
+        apply standby op;
+        op)
+
+(* Answer one batch from the pinned current epoch while the churn writer
+   advances the standby on its own domain, then swap the two. The
+   overlap is real, but the two arenas share nothing, so answers are
    torn-free and depend only on the epoch's contents; and the churn
-   stream itself is deterministic, so the next published epoch is too.
-   Responses are therefore byte-identical at every job count. *)
+   stream is deterministic, so the next published epoch is too.
+   Responses are therefore byte-identical at every job count. The
+   writer domain is spawned per batch: a long-lived idle one would
+   still have to join every stop-the-world minor collection. *)
 let run_queries t queries =
   let e = Epoch.pin t.epochs in
   let writer =
-    match t.churn with
-    | Some _ when t.config.churn_ops > 0 ->
-      Some (Domain.spawn (fun () -> apply_churn t t.config.churn_ops))
-    | _ -> None
+    Option.map
+      (fun (spec, state) ->
+        Domain.spawn (fun () -> Epoch.write t.epochs (advance t spec state)))
+      t.churn
   in
   let answers =
     Fun.protect
@@ -251,10 +261,9 @@ let run_queries t queries =
         Option.iter Domain.join writer;
         (* Publish after the writer lands: each batch serves epoch [n]
            and leaves epoch [n+1] installed for the next one. *)
-        (match t.churn with
+        (match writer with
         | Some _ ->
-          ignore (Epoch.publish t.epochs (Pr_arena.snapshot t.live)
-                   : Epoch.epoch);
+          ignore (Epoch.publish t.epochs : Epoch.epoch);
           t.epoch_batches <- 0
         | None ->
           t.epoch_batches <- t.epoch_batches + 1;
@@ -294,6 +303,8 @@ let warm t ~batches ~queries:qn =
     ignore (run_queries t qs : int * Wire.answer array)
   done
 
+let current_size t = Pr_arena.size (Epoch.arena (Epoch.current t.epochs))
+
 let handle t (req : Wire.request) : Wire.response * bool =
   match req with
   | Wire.Batch queries ->
@@ -303,7 +314,7 @@ let handle t (req : Wire.request) : Wire.response * bool =
     ( Wire.Stats_info
         {
           epoch = Epoch.current_id t.epochs;
-          size = Pr_arena.size t.live;
+          size = current_size t;
           batches = t.batches;
           live_epochs = Epoch.live_count t.epochs;
         },
@@ -312,7 +323,7 @@ let handle t (req : Wire.request) : Wire.response * bool =
     ( Wire.Telemetry_info
         {
           epoch = Epoch.current_id t.epochs;
-          size = Pr_arena.size t.live;
+          size = current_size t;
           batches = t.batches;
           live_epochs = Epoch.live_count t.epochs;
           metrics_json = Metrics.to_json ();
@@ -328,7 +339,6 @@ let handle t (req : Wire.request) : Wire.response * bool =
 let shutdown t =
   Probe.serve_shutdown ~batches:t.batches ~epoch:(Epoch.current_id t.epochs);
   Epoch.shutdown t.epochs;
-  Pr_arena.release t.live;
   if t.owns_pool then Parallel.Pool.shutdown t.pool;
   (* The at-exit flushes only cover experiment commands; a server must
      leave its admission counters in the store's stats log itself. *)

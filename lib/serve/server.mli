@@ -1,18 +1,18 @@
 open Import
 
-(** The request loop: batched arena-native query execution over epoch
-    snapshots, behind the {!Wire} protocol.
+(** The request loop: batched arena-native query execution over a
+    left-right {!Epoch} pair, behind the {!Wire} protocol.
 
-    One server owns a live arena (the churn writer's), an {!Epoch}
-    store of published snapshots, and a deterministic domain pool. A
-    [Batch] request pins the current epoch, fans its queries out on the
-    pool ([map_array]'s task-ordered reduction makes the response
-    byte-identical at every job count), and — when churn is configured —
-    concurrently applies the next slice of the deterministic churn
-    stream to the live arena on a separate domain, publishing the
-    resulting snapshot as the next epoch before the response is
-    written. Readers never observe a torn snapshot: epochs share no
-    mutable state with the live arena. *)
+    One server owns the epoch pair and a deterministic domain pool. A
+    [Batch] request pins the current epoch and fans its queries out on
+    the pool ([map_array]'s task-ordered reduction makes the response
+    byte-identical at every job count). When churn is configured, a
+    separate domain meanwhile brings the standby arena forward: it
+    replays the previous churn slice, which the standby has not seen,
+    then applies the next slice of the deterministic churn stream. The
+    pair is swapped before the response is written, so publication
+    costs O(churn ops), not a copy of the arena. Readers never observe
+    a torn arena: the two slots share no mutable state. *)
 
 (** [eval arena q] answers one query sequentially — the same function
     the pool's tasks run when telemetry is off, and the oracle tests
@@ -57,7 +57,9 @@ type config = {
   insert_fraction : float;
   update_fraction : float;
   drift_sigma : float;
-  mmap_dir : string option;  (** back the live arena's columns with mmap *)
+  mmap_dir : string option;
+      (** back epoch 0's arena columns with mmap; the standby twin is a
+          heap {!Pr_arena.snapshot} *)
   batch_sort : bool;
       (** Morton-sort batch work before fan-out; the response bytes are
           identical either way — this only reorders the computation *)
@@ -105,8 +107,8 @@ val handle : t -> Wire.request -> Wire.response * bool
     merely hanging up. *)
 val serve_channels : t -> in_channel -> out_channel -> bool
 
-(** [shutdown t] retires every epoch and releases the live arena's
-    mmap segments, shuts down an owned pool, and flushes the obs
+(** [shutdown t] retires both epoch slots and releases their mmap
+    segments, shuts down an owned pool, and flushes the obs
     counters to the default artifact store when one is configured. *)
 val shutdown : t -> unit
 

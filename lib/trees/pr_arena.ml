@@ -1517,7 +1517,7 @@ let points t =
    These walk the child-base table and the slot columns directly — no
    freeze to a boxed {!Pr_quadtree} per query — and mutate nothing, so
    any number of domains may query one arena concurrently (the serving
-   layer fans batches out over a shared epoch snapshot).
+   layer fans batches out over one pinned epoch arena).
 
    Two structural upgrades over a plain box-descent walk:
 
@@ -2591,10 +2591,13 @@ let cell_at_visited t (p : Point.t) =
    columns up to the slot high-water mark and array blits for the node
    tables, free lists and counters included, so the copy is a full arena
    in its own right ([check_invariants] passes, churn may continue on
-   either side). This is the epoch-publication primitive: far cheaper
-   than freeze-then-thaw (no boxed node graph, no per-point cons), and
-   completely disjoint from the source, so readers of the snapshot never
-   observe writer mutations. *)
+   either side). Far cheaper than freeze-then-thaw (no boxed node graph,
+   no per-point cons), and completely disjoint from the source. The free
+   lists come along, so the copy recycles slots and node blocks in the
+   source's order: replaying one op sequence on both keeps them
+   slot-for-slot identical, which is what lets the serving layer make
+   its standby twin with one snapshot and then track the current epoch
+   by replay alone. *)
 let snapshot t =
   let pcap = max 16 t.slots in
   let s =
@@ -2635,6 +2638,9 @@ let snapshot t =
     blit (sub t.next 0 t.slots) (sub s.next 0 t.slots)
   end;
   s
+
+let resident_bytes t =
+  (8 * 4 * Bigarray.Array1.dim t.xs) + (8 * 3 * Array.length t.child)
 
 let freeze t =
   let rec conv node =

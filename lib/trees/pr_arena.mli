@@ -238,7 +238,7 @@ val points : t -> Point.t list
     The query kernels walk the structure-of-arrays columns directly —
     no freeze to {!Pr_quadtree} per query — and mutate nothing, so any
     number of domains may query one arena concurrently; the serving
-    layer fans batched queries out over a shared epoch {!snapshot}.
+    layer fans batched queries out over one pinned epoch arena.
     Each kernel is differential-tested against its {!Pr_quadtree}
     counterpart.
 
@@ -336,8 +336,16 @@ val cell_at_visited : t -> Point.t -> (int * Box.t * Point.t list) * int
     state with [t]: churn may continue on either side without the other
     observing it. O(slot high-water) Bigarray/array blits, far cheaper
     than [thaw (freeze t)] (no boxed node graph, no per-point cons).
-    This is the epoch-publication primitive of the serving layer. *)
+    Because the free lists are copied too, the copy allocates slots and
+    node blocks exactly as [t] would: the same insert/delete/update
+    sequence applied to both leaves them with identical contents and
+    slot layout (the serving layer's standby twin relies on this). *)
 val snapshot : t -> t
+
+(** [resident_bytes t] is the arena's resident footprint: the four point
+    columns at their current capacity plus the three node tables. O(1);
+    what an epoch holds in memory, whether heap- or mmap-backed. *)
+val resident_bytes : t -> int
 
 (** [freeze t] is the persistent tree with exactly [t]'s decomposition
     and contents: [equal_structure (freeze t) (Pr_quadtree.of_points

@@ -1,12 +1,14 @@
 (* End-to-end serving smoke, run by `make check`: spawn `popan serve`
-   over pipes at jobs 1/2/4, drive a 10k-query mixed batch (plus a
-   second batch, so a churn-published epoch gets exercised) through the
-   framed wire protocol, and verify every response byte-for-byte against
-   an in-process oracle built from the same seed. Then assert a
+   over pipes at jobs 1/2/4, drive four 10k-query mixed batches through
+   the framed wire protocol, and verify every response byte-for-byte
+   against an in-process oracle built from the same seed. Then assert a
    truncated frame is refused, not misparsed. The concurrent churn
    writer is live throughout (256 ops per batch): epoch ids must
-   advance 0 -> 1 and answers must still match the oracle exactly — a
-   torn snapshot would show up as a byte diff. *)
+   advance 0 -> 3 and answers must still match the oracle exactly. The
+   server publishes through a left-right pair, so epochs 2 and 3 are
+   served from arenas the writer brought forward by replaying earlier
+   churn slices: a torn arena or a replay that drifted would show up as
+   a byte diff. *)
 
 module Point = Popan_geom.Point
 module Box = Popan_geom.Box
@@ -28,6 +30,7 @@ let base_points = 10_000
 let seed = 1987
 let churn_ops = 256
 let batch_size = 10_000
+let batch_count = 4
 
 (* The 10k mixed batch: ranges, counts, k-NN, nearest, cells. *)
 let queries =
@@ -62,14 +65,15 @@ let oracle_batches, oracle_size =
   Fun.protect
     ~finally:(fun () -> Server.shutdown t)
     (fun () ->
-      let b1 = Server.run_queries t queries in
-      let b2 = Server.run_queries t queries in
+      let batches =
+        List.init batch_count (fun _ -> Server.run_queries t queries)
+      in
       let size =
         match Server.handle t Wire.Stats with
         | Wire.Stats_info { size; _ }, _ -> size
         | _ -> fail "oracle: bad Stats response"
       in
-      ([ b1; b2 ], size))
+      (batches, size))
 
 (* Pipe plumbing *)
 
@@ -103,7 +107,7 @@ let expect_response ic what =
   | Some (Error e) -> fail "%s: malformed response frame: %s" what e
   | None -> fail "%s: server closed the stream early" what
 
-(* One full conversation at a given job count: two batches, stats,
+(* One full conversation at a given job count: four batches, stats,
    quit. Returns the per-batch (epoch, answer bytes) and the reported
    tree size. [extra] rides along on the command line — the
    [--no-batch-sort] runs reuse the whole conversation. *)
@@ -123,8 +127,7 @@ let converse ?(extra = []) ?(what = "jobs") jobs =
     | Wire.Answers { epoch; answers } -> (epoch, answer_bytes answers)
     | _ -> fail "%s: expected Answers" what
   in
-  let b1 = batch () in
-  let b2 = batch () in
+  let answered = List.init batch_count (fun _ -> batch ()) in
   Wire.write_request oc Wire.Stats;
   let size, batches =
     match expect_response ic what with
@@ -138,8 +141,9 @@ let converse ?(extra = []) ?(what = "jobs") jobs =
   close_out oc;
   close_in ic;
   wait_clean pid what;
-  if batches <> 2 then fail "%s: reported %d batches, expected 2" what batches;
-  ([ b1; b2 ], size)
+  if batches <> batch_count then
+    fail "%s: reported %d batches, expected %d" what batches batch_count;
+  (answered, size)
 
 let check_against_oracle ?(what = "jobs") jobs (batches, size) =
   List.iteri
@@ -346,10 +350,11 @@ let () =
   truncated_frame_refused ();
   telemetry_scrape_consistent ();
   Printf.printf
-    "serve smoke: 2x %d-query batches over the wire byte-identical to the \
+    "serve smoke: %dx %d-query batches over the wire byte-identical to the \
      sequential oracle at jobs 1/2/4, with and without --no-batch-sort \
-     (epochs 0 -> 1 under live churn); two sequential socket clients \
-     served, state intact; truncated frame refused; full-telemetry \
+     (epochs 0 -> %d under live churn, the later ones replayed); two \
+     sequential socket clients served, state intact; truncated frame \
+     refused; full-telemetry \
      scrape consistent (every query in the sketches, publish events \
      retained)\n"
-    batch_size
+    batch_count batch_size (batch_count - 1)

@@ -339,51 +339,111 @@ let snapshot_tests =
         let arena = Pr_arena.create ~capacity:4 () in
         let snap = Pr_arena.snapshot arena in
         check_int "size" 0 (Pr_arena.size snap);
+        (* Minimum capacities: 16 slots in each of the four 8-byte
+           point columns, 16 nodes in each of the three node tables. *)
+        check_int "resident bytes" ((4 * 8 * 16) + (3 * 8 * 16))
+          (Pr_arena.resident_bytes snap);
         Alcotest.(check (list string)) "invariants" []
           (Pr_arena.check_invariants snap));
   ]
 
-(* Epochs: lifecycle, pinning, reclamation *)
+(* Epochs: the left-right pair's lifecycle, pinning, refusal *)
+
+let no_problems what problems = Alcotest.(check (list string)) what [] problems
 
 let epoch_tests =
   [
     Alcotest.test_case "publish supersedes, unpinned epochs retire" `Quick
       (fun () ->
         let arena = Pr_arena.of_points_bulk ~capacity:4 (uniform_points 3 100) in
-        let t = Epoch.create (Pr_arena.snapshot arena) in
+        let t = Epoch.create arena in
         check_int "boot epoch" 0 (Epoch.current_id t);
         check_int "live" 1 (Epoch.live_count t);
-        ignore (Epoch.publish t (Pr_arena.snapshot arena) : Epoch.epoch);
-        check_int "next epoch" 1 (Epoch.current_id t);
-        (* Nobody pinned epoch 0: it is gone. *)
+        Epoch.write t (fun a -> Pr_arena.insert a (Point.make 0.5 0.5));
+        let e1 = Epoch.publish t in
+        check_int "next epoch" 1 (Epoch.id e1);
+        check_int "current" 1 (Epoch.current_id t);
+        check_int "written point published" 101
+          (Pr_arena.size (Epoch.arena e1));
+        (* Nobody pinned epoch 0: only the current epoch is live. *)
         check_int "live after publish" 1 (Epoch.live_count t);
-        Alcotest.(check (list string)) "invariants" [] (Epoch.check_invariants t));
+        no_problems "invariants" (Epoch.check_invariants t);
+        (* The standby still holds epoch 0: publishing it again would
+           put stale contents back in front of readers. *)
+        Alcotest.check_raises "publish without a write"
+          (Invalid_argument
+             "Epoch.publish: nothing written since the last publish")
+          (fun () -> ignore (Epoch.publish t : Epoch.epoch));
+        (* The next write overwrites epoch 0's arena: it must first catch
+           up with epoch 1, exactly as the server's replay does. *)
+        Epoch.write t (fun a ->
+            Pr_arena.insert a (Point.make 0.5 0.5);
+            Pr_arena.insert a (Point.make 0.25 0.75));
+        let e2 = Epoch.publish t in
+        check_int "third epoch" 2 (Epoch.id e2);
+        check_int "epoch 2 size" 102 (Pr_arena.size (Epoch.arena e2));
+        check_int "epoch 1 untouched" 101 (Pr_arena.size (Epoch.arena e1));
+        no_problems "invariants after the swap" (Epoch.check_invariants t);
+        Epoch.shutdown t);
     Alcotest.test_case "a pinned epoch survives concurrent deletes" `Quick
       (fun () ->
         (* The kill-mid-batch scenario: a reader pins, the writer deletes
-           every point and publishes twice; the pinned epoch's contents
-           must be byte-identical throughout, and reclamation must wait
-           for the unpin. *)
-        let live = Pr_arena.of_points_bulk ~capacity:4 (uniform_points 5 500) in
-        let t = Epoch.create (Pr_arena.snapshot live) in
+           every point on the standby and publishes; the pinned epoch's
+           contents must stay byte-identical, and the writer may not
+           touch its arena again until the unpin. *)
+        let t =
+          Epoch.create
+            (Pr_arena.of_points_bulk ~capacity:4 (uniform_points 5 500))
+        in
         let pinned = Epoch.pin t in
         let before = arena_bytes (Epoch.arena pinned) in
-        List.iter
-          (fun p -> ignore (Pr_arena.delete live p : bool))
-          (Pr_arena.points live);
-        ignore (Epoch.publish t (Pr_arena.snapshot live) : Epoch.epoch);
-        ignore (Epoch.publish t (Pr_arena.snapshot live) : Epoch.epoch);
+        Epoch.write t (fun a ->
+            List.iter
+              (fun p -> ignore (Pr_arena.delete a p : bool))
+              (Pr_arena.points a));
+        let e1 = Epoch.publish t in
+        check_int "everything deleted" 0 (Pr_arena.size (Epoch.arena e1));
         check_bool "pinned epoch unchanged" true
           (arena_bytes (Epoch.arena pinned) = before);
         check_int "pinned + current live" 2 (Epoch.live_count t);
-        Alcotest.(check (list string)) "invariants" [] (Epoch.check_invariants t);
+        no_problems "invariants" (Epoch.check_invariants t);
+        (* A second write would overwrite the pinned epoch: refused, and
+           nothing moves — ids, pins, contents, invariants. *)
+        Alcotest.check_raises "write over a pinned epoch"
+          (Invalid_argument "Epoch.write: epoch 0 is still pinned")
+          (fun () ->
+            Epoch.write t (fun a -> Pr_arena.insert a (Point.make 0.5 0.5)));
+        check_int "current id kept" 1 (Epoch.current_id t);
+        check_int "pinned id kept" 0 (Epoch.id pinned);
+        check_int "pins kept" 1 (Epoch.pins pinned);
+        check_int "still two live" 2 (Epoch.live_count t);
+        check_bool "pinned epoch still unchanged" true
+          (arena_bytes (Epoch.arena pinned) = before);
+        no_problems "invariants after the refusal" (Epoch.check_invariants t);
         Epoch.unpin t pinned;
-        check_int "reclaimed after unpin" 1 (Epoch.live_count t);
-        Alcotest.(check (list string)) "invariants after unpin" []
-          (Epoch.check_invariants t));
+        check_int "one live after unpin" 1 (Epoch.live_count t);
+        (* Unpinned, the arena is the writer's again. *)
+        Epoch.write t (fun a -> Pr_arena.insert a (Point.make 0.5 0.5));
+        let e2 = Epoch.publish t in
+        check_int "write lands after unpin" 2 (Epoch.id e2);
+        no_problems "invariants after unpin" (Epoch.check_invariants t);
+        Epoch.shutdown t);
+    Alcotest.test_case "a failed write is never published" `Quick (fun () ->
+        let t =
+          Epoch.create
+            (Pr_arena.of_points_bulk ~capacity:4 (uniform_points 7 50))
+        in
+        (match Epoch.write t (fun _ -> failwith "writer died") with
+        | () -> Alcotest.fail "write should have raised"
+        | exception Failure _ -> ());
+        Alcotest.check_raises "torn standby"
+          (Invalid_argument "Epoch.publish: the standby is torn") (fun () ->
+            ignore (Epoch.publish t : Epoch.epoch));
+        check_int "epoch 0 still current" 0 (Epoch.current_id t);
+        Epoch.shutdown t);
     Alcotest.test_case "unpin validates" `Quick (fun () ->
         let arena = Pr_arena.of_points_bulk ~capacity:4 (uniform_points 9 50) in
-        let t = Epoch.create (Pr_arena.snapshot arena) in
+        let t = Epoch.create arena in
         let e = Epoch.current t in
         Alcotest.check_raises "not pinned"
           (Invalid_argument "Epoch.unpin: epoch not pinned") (fun () ->
@@ -488,30 +548,31 @@ let wire_tests =
 let answers_bytes answers =
   Codec.encode (Codec.array Wire.answer) answers
 
+(* A mixed batch: ranges, counts, k-NN, nearest, cells. *)
+let mixed_queries seed n =
+  let rng = Xoshiro.of_int_seed seed in
+  Array.init n (fun i ->
+      let p = Point.make (Xoshiro.float rng) (Xoshiro.float rng) in
+      match i mod 5 with
+      | 0 ->
+        let w = 0.01 +. (0.2 *. Xoshiro.float rng) in
+        let x = (1.0 -. w) *. Xoshiro.float rng in
+        let y = (1.0 -. w) *. Xoshiro.float rng in
+        Wire.Range (Box.make ~xmin:x ~ymin:y ~xmax:(x +. w) ~ymax:(y +. w))
+      | 1 ->
+        Wire.Count
+          (Box.make ~xmin:0.0 ~ymin:0.0 ~xmax:(max 0.01 p.Point.x)
+             ~ymax:(max 0.01 p.Point.y))
+      | 2 -> Wire.Knn (1 + (i mod 16), p)
+      | 3 -> Wire.Nearest p
+      | _ -> Wire.Cell p)
+
 let batch_tests =
   [
     Alcotest.test_case "batch results byte-identical at jobs 1/2/4" `Quick
       (fun () ->
         let arena = churned_arena ~seed:11 ~base:2_000 ~ops:4_000 in
-        let rng = Xoshiro.of_int_seed 42 in
-        let queries =
-          Array.init 3_000 (fun i ->
-              let p = Point.make (Xoshiro.float rng) (Xoshiro.float rng) in
-              match i mod 5 with
-              | 0 ->
-                let w = 0.01 +. (0.2 *. Xoshiro.float rng) in
-                let x = (1.0 -. w) *. Xoshiro.float rng in
-                let y = (1.0 -. w) *. Xoshiro.float rng in
-                Wire.Range
-                  (Box.make ~xmin:x ~ymin:y ~xmax:(x +. w) ~ymax:(y +. w))
-              | 1 ->
-                Wire.Count
-                  (Box.make ~xmin:0.0 ~ymin:0.0 ~xmax:(max 0.01 p.Point.x)
-                     ~ymax:(max 0.01 p.Point.y))
-              | 2 -> Wire.Knn (1 + (i mod 16), p)
-              | 3 -> Wire.Nearest p
-              | _ -> Wire.Cell p)
-        in
+        let queries = mixed_queries 42 3_000 in
         let run jobs =
           Parallel.Pool.with_pool ~jobs (fun pool ->
               answers_bytes (Server.run_batch pool arena queries))
@@ -582,6 +643,113 @@ let server_tests =
             match Server.handle t Wire.Quit with
             | Wire.Bye, false -> ()
             | _ -> Alcotest.fail "bad quit response"));
+  ]
+
+(* The left-right pair against a copy-per-batch reference. The
+   reference is the simplest correct publisher: one arena, apply each
+   churn slice to it, snapshot it. The server instead replays every
+   slice onto a standby twin, so each of its two arenas is rewritten by
+   replay on alternate batches; every epoch it serves must equal the
+   reference's, down to the frozen tree's bytes. *)
+
+type reference = {
+  spec : Workload.Churn.spec;
+  state : Workload.Churn.state;
+  arena : Pr_arena.t;
+  ops : int;
+}
+
+(* The same population and churn stream [Server.create] derives from a
+   config. *)
+let reference_of (c : Server.config) =
+  let spec =
+    Workload.Churn.make ~points:(max 1 c.base_points) ~trials:1 ~seed:c.seed
+      ~ops:(max 1 c.churn_ops) ~insert_fraction:c.insert_fraction
+      ~update_fraction:c.update_fraction ~drift_sigma:c.drift_sigma ()
+  in
+  let rng = List.hd (Workload.Churn.map_trials spec ~f:(fun _ r -> r)) in
+  let state = Workload.Churn.start spec ~rng in
+  let arena =
+    Pr_arena.of_points_bulk ~capacity:c.capacity
+      (Array.to_list (Workload.Churn.live state))
+  in
+  { spec; state; arena; ops = c.churn_ops }
+
+(* Publish the reference's next epoch: apply one slice, copy. *)
+let reference_publish r =
+  for _ = 1 to r.ops do
+    match Workload.Churn.step r.spec r.state with
+    | Workload.Churn.Insert p -> Pr_arena.insert r.arena p
+    | Workload.Churn.Delete p -> ignore (Pr_arena.delete r.arena p : bool)
+    | Workload.Churn.Update (p, q) ->
+      ignore (Pr_arena.update r.arena p q : bool)
+  done;
+  Pr_arena.snapshot r.arena
+
+let left_right_matches_reference ~seed ~mmap ~jobs =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ()) "popan-test-segments"
+  in
+  let config =
+    {
+      Server.default_config with
+      base_points = 1_500;
+      churn_ops = 64;
+      capacity = 4;
+      seed;
+      jobs = Some jobs;
+      mmap_dir = (if mmap then Some dir else None);
+    }
+  in
+  let what fmt =
+    Printf.ksprintf
+      (Printf.sprintf "seed %d%s jobs %d: %s" seed
+         (if mmap then " mmap" else "") jobs)
+      fmt
+  in
+  let t = Server.create config in
+  let r = reference_of config in
+  let queries = mixed_queries (seed + 1) 200 in
+  Fun.protect
+    ~finally:(fun () -> Server.shutdown t)
+    (fun () ->
+      let expected = ref (Pr_arena.snapshot r.arena) in
+      for b = 0 to 15 do
+        let e = Epoch.pin (Server.epochs t) in
+        let served = Epoch.arena e in
+        check_int (what "epoch id") b (Epoch.id e);
+        check_bool (what "epoch %d structure" b) true
+          (Pr_quadtree.equal_structure (Pr_arena.freeze served)
+             (Pr_arena.freeze !expected));
+        check_bool (what "epoch %d bytes" b) true
+          (arena_bytes served = arena_bytes !expected);
+        check_int (what "epoch %d slot high-water" b)
+          (Pr_arena.slot_high_water !expected)
+          (Pr_arena.slot_high_water served);
+        Epoch.unpin (Server.epochs t) e;
+        let id, answers = Server.run_queries t queries in
+        check_int (what "answering epoch") b id;
+        check_bool (what "batch %d answers" b) true
+          (answers_bytes answers
+          = answers_bytes (Array.map (Server.eval !expected) queries));
+        no_problems (what "invariants after batch %d" b)
+          (Epoch.check_invariants (Server.epochs t));
+        expected := reference_publish r
+      done)
+
+let left_right_tests =
+  [
+    Alcotest.test_case "every epoch equals a copy-per-batch reference" `Quick
+      (fun () ->
+        List.iter
+          (fun seed ->
+            List.iter
+              (fun mmap ->
+                List.iter
+                  (fun jobs -> left_right_matches_reference ~seed ~mmap ~jobs)
+                  [ 1; 2 ])
+              [ false; true ])
+          [ 1987; 4242 ]);
   ]
 
 (* The Telemetry exchange: codec payloads with real sketch snapshots,
@@ -783,5 +951,6 @@ let () =
       ("wire", wire_tests);
       ("batch", batch_tests);
       ("server", server_tests);
+      ("leftright", left_right_tests);
       ("telemetry", telemetry_tests);
     ]
