@@ -29,9 +29,7 @@ test:
 # through the wire protocol while the churn writer publishes epochs
 # (epochs 2 and 3 come from arenas brought forward by replay),
 # verify every response byte-for-byte against an in-process sequential
-# oracle — with Morton batch-sorting on (the default) AND under
-# --no-batch-sort, so the schedule provably never reaches the wire —
-# serve two sequential clients on one socket, and assert a truncated
+# oracle, serve two sequential clients on one socket, and assert a truncated
 # frame is refused. The query alloc smoke: count-in-box on the
 # integer-descent path must allocate zero minor words per query. The
 # obs-top smoke: start `popan serve` on a Unix socket with full

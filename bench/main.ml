@@ -801,15 +801,44 @@ let bench_serve_telemetry =
                (Server.run_batch ~epoch:0 pool serve_arena serve_queries))))
 
 (* The PR 10 query-kernel ablation: containment pruning priced against
-   the unpruned per-leaf walk at three selectivities (the fraction of
-   the unit square the target covers). The larger the box, the more
-   whole subtrees the pruned kernel answers from the subtree-count
-   field in O(1) — at 90% the unpruned walk touches nearly every leaf
-   while the pruned one only walks the target's perimeter. *)
+   an unpruned walk at three selectivities (the fraction of the unit
+   square the target covers). The larger the box, the more whole
+   subtrees the pruned kernel answers from the subtree-count field in
+   O(1) — at 90% the unpruned walk touches nearly every leaf while the
+   pruned one only walks the target's perimeter.
+
+   The library keeps one kernel per query kind, so the unpruned
+   baseline lives here: a walk over the frozen tree that enters every
+   node whose cell meets the target and tests every point of every
+   reached leaf. It returns the count and the nodes entered, under the
+   arena kernels' accounting (one per node entered). It walks boxed
+   nodes, so its timings are not comparable with the historical
+   arena-walk "unpruned" rows; hence the "frozen-walk" row names. *)
+let frozen_walk_count tree target =
+  let count = ref 0 and visited = ref 0 in
+  let rec go (node : Pr_quadtree.Raw.raw_node) box =
+    incr visited;
+    if Popan_geom.Box.intersects box target then
+      match node with
+      | Leaf pts ->
+        List.iter
+          (fun p -> if Popan_geom.Box.contains target p then incr count)
+          pts
+      | Node children ->
+        Array.iteri
+          (fun q c ->
+            go c (Popan_geom.Box.child box (Popan_geom.Quadrant.of_index q)))
+          children
+  in
+  go (Pr_quadtree.Raw.root tree) (Pr_quadtree.bounds tree);
+  (!count, !visited)
+
 let query_arena_64k =
   let rng = Xoshiro.of_int_seed 424242 in
   Pr_arena.of_points_bulk ~capacity:8
     (Sampler.points rng Sampler.Uniform 65_536)
+
+let query_tree_64k = Pr_arena.freeze query_arena_64k
 
 (* 90% selectivity = side sqrt 0.9 ~ 0.9487. *)
 let sel_boxes =
@@ -825,29 +854,11 @@ let bench_count_pruned (sel, box) =
     (Staged.stage (fun () ->
          Sys.opaque_identity (Pr_arena.count_in_box query_arena_64k box)))
 
-let bench_count_unpruned (sel, box) =
+let bench_count_frozen_walk (sel, box) =
   Test.make
-    ~name:(Printf.sprintf "query:count-in-box unpruned sel=%s n=65536" sel)
+    ~name:(Printf.sprintf "query:count-in-box frozen-walk sel=%s n=65536" sel)
     (Staged.stage (fun () ->
-         Sys.opaque_identity (Pr_arena.count_in_box_unpruned query_arena_64k box)))
-
-(* The range twin at one mid selectivity: the pruned kernel drains
-   contained subtrees chain-by-chain instead of filtering every
-   point. Same answer list, element for element. *)
-(* The scheduling ablation: the same mixed batch in arrival order vs
-   the Morton-sorted default (the j rows above). The wire bytes are
-   identical — serve_smoke pins that — so any delta here is pure
-   locality. *)
-let bench_serve_unsorted jobs =
-  let pool = List.assoc jobs serve_pools in
-  Test.make
-    ~name:(parallel_bench_name
-             (format_of_string
-                "serve:batch 1024 mixed arrival-order n=16384 j=%d")
-             jobs)
-    (Staged.stage (fun () ->
-         Sys.opaque_identity
-           (Server.run_batch ~sort:false pool serve_arena serve_queries)))
+         Sys.opaque_identity (fst (frozen_walk_count query_tree_64k box))))
 
 (* The telemetry primitives priced alone: a raw sketch record (one log,
    one increment), a registry-sharded sketch record (adds the flag check
@@ -974,12 +985,11 @@ let all_benches =
       bench_serve_freeze_then_query;
       bench_serve_telemetry;
       bench_count_pruned (List.nth sel_boxes 0);
-      bench_count_unpruned (List.nth sel_boxes 0);
+      bench_count_frozen_walk (List.nth sel_boxes 0);
       bench_count_pruned (List.nth sel_boxes 1);
-      bench_count_unpruned (List.nth sel_boxes 1);
+      bench_count_frozen_walk (List.nth sel_boxes 1);
       bench_count_pruned (List.nth sel_boxes 2);
-      bench_count_unpruned (List.nth sel_boxes 2);
-      bench_serve_unsorted 1; bench_serve_unsorted 4;
+      bench_count_frozen_walk (List.nth sel_boxes 2);
       bench_sketch_record; bench_registry_sketch_record;
       bench_flight_record; bench_event_emit;
     ]
@@ -1293,10 +1303,9 @@ let churn_footprint_rows () =
    exponent (scaled x1000 to survive the JSON's one-decimal format). *)
 let cj_exponent = (sqrt 17.0 -. 3.0) /. 2.0
 
-(* [pruned:false] runs the unpruned-visited twin, which walks exactly
-   the PR 9 kernel's node set — those rows keep their historical names
-   so the JSON trajectory stays comparable. The pruned rows ride along
-   under new names: a hairline strip contains no whole cell, so
+(* [pruned:false] counts with the bench-local frozen walk, which enters
+   exactly the PR 9 kernel's node set. The pruned rows read the arena
+   kernel's own visit count: a hairline strip contains no whole cell, so
    containment almost never fires and the two exponents should agree —
    pruning buys nothing on perimeter-dominated partial-match queries,
    and these rows keep that claim measured. *)
@@ -1305,6 +1314,8 @@ let partial_match_visited ~pruned n =
   let arena =
     Pr_arena.of_points_bulk ~capacity:8 (Sampler.points rng Sampler.Uniform n)
   in
+  let tree = Pr_arena.freeze arena in
+  let cost = Pr_arena.cost () in
   let strips = 64 in
   let total = ref 0 in
   let qrng = Xoshiro.of_int_seed 54321 in
@@ -1315,9 +1326,12 @@ let partial_match_visited ~pruned n =
         ~xmax:(Float.min 1.0 (x +. 1e-9))
         ~ymax:1.0
     in
-    let _, visited =
-      if pruned then Pr_arena.count_in_box_visited arena strip
-      else Pr_arena.count_in_box_unpruned_visited arena strip
+    let visited =
+      if pruned then begin
+        ignore (Pr_arena.count_in_box ~cost arena strip : int);
+        cost.Pr_arena.visited
+      end
+      else snd (frozen_walk_count tree strip)
     in
     total := !total + visited
   done;
@@ -1332,11 +1346,13 @@ let partial_match_rows () =
   and u2 = partial_match_visited ~pruned:false n2 in
   let p1 = partial_match_visited ~pruned:true n1
   and p2 = partial_match_visited ~pruned:true n2 in
-  [ ( Printf.sprintf "serve:partial-match visited nodes strip n=%d" n1,
+  [ ( Printf.sprintf
+        "serve:partial-match frozen-walk visited nodes strip n=%d" n1,
       Some u1, None );
-    ( Printf.sprintf "serve:partial-match visited nodes strip n=%d" n2,
+    ( Printf.sprintf
+        "serve:partial-match frozen-walk visited nodes strip n=%d" n2,
       Some u2, None );
-    ( "serve:partial-match empirical exponent x1000 (CJ 561.6)",
+    ( "serve:partial-match frozen-walk empirical exponent x1000 (CJ 561.6)",
       Some (exponent u1 u2 *. 1000.0), None );
     ( Printf.sprintf "serve:partial-match pruned visited nodes strip n=%d" n1,
       Some p1, None );
@@ -1367,13 +1383,13 @@ let range_paired_rows () =
     let t0 = Unix.gettimeofday () in
     for _ = 1 to inner do
       ignore
-        (Sys.opaque_identity (Pr_arena.query_box_unpruned query_arena_64k box))
+        (Sys.opaque_identity (Pr_quadtree.query_box query_tree_64k box))
     done;
     let t = (Unix.gettimeofday () -. t0) /. float_of_int inner in
     if t < !unpruned then unpruned := t
   done;
   [ ("popan/query:range pruned sel=25% n=65536", Some (!pruned *. 1e9), None);
-    ( "popan/query:range unpruned sel=25% n=65536",
+    ( "popan/query:range frozen-walk sel=25% n=65536",
       Some (!unpruned *. 1e9), None ) ]
 
 (* The 2^22 pruning rows, hand-timed like the bulk builds (the unpruned
@@ -1390,6 +1406,7 @@ let query_paired_rows () =
         Sampler.point rng Sampler.Uniform)
   in
   let box = List.assoc "90%" sel_boxes in
+  let tree = Pr_arena.freeze arena in
   Gc.compact ();
   let pruned = ref infinity and unpruned = ref infinity in
   let inner = 64 in
@@ -1401,14 +1418,14 @@ let query_paired_rows () =
     let t = (Unix.gettimeofday () -. t0) /. float_of_int inner in
     if t < !pruned then pruned := t;
     let t0 = Unix.gettimeofday () in
-    ignore (Sys.opaque_identity (Pr_arena.count_in_box_unpruned arena box));
+    ignore (Sys.opaque_identity (frozen_walk_count tree box));
     let t = Unix.gettimeofday () -. t0 in
     if t < !unpruned then unpruned := t
   done;
   Pr_arena.release arena;
   [ ( "popan/query:count-in-box paired pruned sel=90% n=4194304",
       Some (!pruned *. 1e9), None );
-    ( "popan/query:count-in-box paired unpruned sel=90% n=4194304",
+    ( "popan/query:count-in-box paired frozen-walk sel=90% n=4194304",
       Some (!unpruned *. 1e9), None ) ]
 
 (* The serving ablation, stated against the acceptance bar: the batch
@@ -1449,9 +1466,10 @@ let print_serve_summary estimates =
        else "speedup")
   | _ -> ());
   match
-    ( find "serve:partial-match visited nodes strip n=4096",
-      find "serve:partial-match visited nodes strip n=65536",
-      find "serve:partial-match empirical exponent x1000 (CJ 561.6)" )
+    ( find "serve:partial-match frozen-walk visited nodes strip n=4096",
+      find "serve:partial-match frozen-walk visited nodes strip n=65536",
+      find "serve:partial-match frozen-walk empirical exponent x1000 (CJ 561.6)"
+    )
   with
   | Some v1, Some v2, Some e ->
     Printf.printf
@@ -1461,62 +1479,45 @@ let print_serve_summary estimates =
   | _ -> ()
 
 (* The PR 10 pruning ablation, stated against its acceptance bar: the
-   pruned count must beat the unpruned per-leaf walk by a factor that
-   grows with selectivity — >= 5x at 90% on the 2^22 tree — and the
-   Morton batch schedule is priced against arrival order. *)
+   pruned count must beat the unpruned frozen walk by a factor that
+   grows with selectivity — >= 5x at 90% on the 2^22 tree. *)
 let print_query_summary estimates =
   let find = find_estimate estimates in
   List.iter
     (fun sel ->
       match
         ( find
-            (Printf.sprintf "query:count-in-box unpruned sel=%s n=65536" sel),
+            (Printf.sprintf "query:count-in-box frozen-walk sel=%s n=65536"
+               sel),
           find (Printf.sprintf "query:count-in-box pruned sel=%s n=65536" sel)
         )
       with
       | Some u, Some p ->
         Printf.printf
-          "count-in-box n=65536 sel=%s: unpruned %.1f us/run, pruned %.1f \
-           us/run -> %.1fx\n"
+          "count-in-box n=65536 sel=%s: frozen walk %.1f us/run, pruned \
+           %.1f us/run -> %.1fx\n"
           sel (u /. 1e3) (p /. 1e3) (u /. p)
       | _ -> ())
     [ "1%"; "25%"; "90%" ];
   (match
-     ( find "query:range unpruned sel=25% n=65536",
+     ( find "query:range frozen-walk sel=25% n=65536",
        find "query:range pruned sel=25% n=65536" )
    with
   | Some u, Some p ->
     Printf.printf
-      "range n=65536 sel=25%% (paired best-of): unpruned %.1f us/run, \
+      "range n=65536 sel=25%% (paired best-of): frozen walk %.1f us/run, \
        pruned (subtree drain) %.1f us/run -> %.2fx\n"
       (u /. 1e3) (p /. 1e3) (u /. p)
   | _ -> ());
-  (match
-     ( find "query:count-in-box paired unpruned sel=90% n=4194304",
-       find "query:count-in-box paired pruned sel=90% n=4194304" )
-   with
+  match
+    ( find "query:count-in-box paired frozen-walk sel=90% n=4194304",
+      find "query:count-in-box paired pruned sel=90% n=4194304" )
+  with
   | Some u, Some p ->
     Printf.printf
-      "count-in-box n=4194304 sel=90%% (paired best-of): unpruned %.2f ms, \
-       pruned %.4f ms -> %.0fx (bar: >= 5x)\n"
+      "count-in-box n=4194304 sel=90%% (paired best-of): frozen walk %.2f \
+       ms, pruned %.4f ms -> %.0fx (bar: >= 5x)\n"
       (u /. 1e6) (p /. 1e6) (u /. p)
-  | _ -> ());
-  match
-    ( find
-        (parallel_bench_name
-           (format_of_string
-              "serve:batch 1024 mixed arrival-order n=16384 j=%d") 1),
-      find
-        (parallel_bench_name
-           (format_of_string
-              "serve:batch 1024 mixed arena-native n=16384 j=%d") 1) )
-  with
-  | Some arrival, Some sorted ->
-    Printf.printf
-      "batch schedule j=1: arrival order %.2f ms/run, Morton-sorted %.2f \
-       ms/run -> %+.1f%% (wire bytes identical)\n"
-      (arrival /. 1e6) (sorted /. 1e6)
-      (100.0 *. ((sorted /. arrival) -. 1.0))
   | _ -> ()
 
 (* The serve telemetry ablation, stated against the acceptance bar: the

@@ -996,10 +996,14 @@ let measure_cmd =
   let rec run input capacity max_depth no_normalize =
     match go input capacity max_depth no_normalize with
     | () -> ()
-    | exception (Failure msg | Sys_error msg) ->
+    | exception (Failure msg | Sys_error msg | Invalid_argument msg) ->
       Printf.eprintf "popan: %s\n" msg;
       exit 1
   and go input capacity max_depth no_normalize =
+    if max_depth < 0 || max_depth > Popan_geom.Morton.bits_fine then
+      failwith
+        (Printf.sprintf "measure: --max-depth must be in 0..%d, got %d"
+           Popan_geom.Morton.bits_fine max_depth);
     let raw = Points_io.load input in
     if raw = [] then failwith "measure: no points in input";
     let points = if no_normalize then raw else Points_io.normalize raw in
@@ -1593,7 +1597,7 @@ let obs_cmd =
 
 let serve_cmd =
   let run () points capacity seed churn_ops insert_fraction update_fraction
-      drift socket mmap telemetry no_flight slow_ms warm no_batch_sort =
+      drift socket mmap telemetry no_flight slow_ms warm =
     let config =
       {
         Popan_serve.Server.default_config with
@@ -1605,7 +1609,6 @@ let serve_cmd =
         update_fraction;
         drift_sigma = drift;
         mmap_dir = mmap;
-        batch_sort = not no_batch_sort;
       }
     in
     (* The flight recorder is on by default — it is the "what just
@@ -1695,20 +1698,11 @@ let serve_cmd =
     in
     Arg.(value & opt int 0 & info [ "warm" ] ~docv:"BATCHES" ~doc)
   in
-  let no_batch_sort_term =
-    let doc =
-      "Run each batch's queries in arrival order instead of Morton order \
-       of their anchors. Response bytes are identical either way — the \
-       sort only reorders the computation for cache locality."
-    in
-    Arg.(value & flag & info [ "no-batch-sort" ] ~doc)
-  in
   let term =
     Term.(const run $ setup_term $ points_term $ capacity_term ~default:8
           $ seed_term $ churn_ops_term $ insert_fraction_term
           $ update_fraction_term $ drift_term $ socket_term $ mmap_term
-          $ telemetry_term $ no_flight_term $ slow_ms_term $ warm_term
-          $ no_batch_sort_term)
+          $ telemetry_term $ no_flight_term $ slow_ms_term $ warm_term)
   in
   Cmd.v
     (Cmd.info "serve"

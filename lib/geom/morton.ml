@@ -33,15 +33,6 @@ let decode code =
   let scale = 1.0 /. float_of_int (1 lsl bits) in
   Point.make (float_of_int x *. scale) (float_of_int y *. scale)
 
-(* [encode] for scheduling keys: clamps arbitrary (finite) coordinates
-   into the unit square instead of rejecting them, so any query anchor
-   — a box corner, a nearest-neighbor probe outside the bounds — maps
-   to the Z-order cell nearest it. Locality is all a scheduler needs;
-   the decomposition itself never uses this. *)
-let encode_clamped (p : Point.t) =
-  let clamp v = if v < 0.0 then 0.0 else if v >= 1.0 then 0x1FFFFFp-21 else v in
-  interleave (quantize (clamp p.x)) (quantize (clamp p.y))
-
 let prefix ~depth code =
   if depth < 0 || depth > 2 * bits then
     invalid_arg "Morton.prefix: depth out of range";

@@ -16,12 +16,6 @@ val encode : Point.t -> int
 (** [decode code] recovers the lower-left corner of the quantized cell. *)
 val decode : int -> Point.t
 
-(** [encode_clamped p] is {!encode} with the coordinates clamped into
-    the unit square instead of rejected — the Z-order cell nearest an
-    arbitrary finite anchor. For scheduling keys (the serving layer
-    orders batch work by it); never used by the decomposition. *)
-val encode_clamped : Point.t -> int
-
 (** [quantize x] is [int_of_float (x *. 2^bits)] — the [bits]-bit cell
     ordinate of a unit-interval coordinate. The multiply is by a power
     of two, hence exact, so for [x] in [[0, 1)] the result is precisely

@@ -180,19 +180,16 @@ let arena_merge () = Metrics.incr arena_merges
    switches say — so a large-n run cannot quietly take a different build
    path than the one asked for. The historical instance (bulk builds
    past 2^21 points silently rerouting to incremental inserts) is gone
-   with the two-word keys; the two that remain are descending past the
-   42-bit Morton resolution (duplicate-heavy data under a deep
-   [max_depth]) and an mmap request degrading to heap backing. *)
+   with the two-word keys; the one that remains is an mmap request
+   degrading to heap backing. *)
 
 let arena_fallbacks = Metrics.counter ~stable:false "arena.fallbacks"
-let arena_deep_float_splits = Metrics.counter "arena.deep.float.splits"
 let warned : (string, unit) Hashtbl.t = Hashtbl.create 4
 let warn_mutex = Mutex.create ()
 
 (* Degrade warnings flow through the structured event log: one event
-   per distinct key per process (a deep bulk build may take millions of
-   deep-float splits; the counter counts them all, the event fires
-   once). {!Event} mirrors Warn-level events to stderr unless the
+   per distinct key per process (the counter counts every occurrence,
+   the event fires once). {!Event} mirrors Warn-level events to stderr unless the
    mirror was switched off, preserving the old loud-by-default
    behavior while making the warning visible to tooling. *)
 let warn_once key fields fmt =
@@ -212,25 +209,6 @@ let arena_fallback ~what ~detail =
   warn_once "arena.fallback"
     [ ("what", Event.Str what); ("detail", Event.Str detail) ]
     "%s (%s); build path differs from the one requested" what detail
-
-let arena_deep_float ~depth =
-  Metrics.incr arena_deep_float_splits;
-  warn_once "arena.deep_float"
-    [ ("depth", Event.Int depth) ]
-    "bulk build descending below the 42-bit Morton resolution at depth %d; \
-     switching to float-midpoint splits"
-    depth
-
-(* Query kernels leaving the integer-descent fast path (custom bounds,
-   or an arena split below the fine Morton grid): same discipline as
-   the build fallbacks — count every occurrence, warn once. *)
-let arena_query_fallbacks = Metrics.counter "arena.query.fallbacks"
-
-let arena_query_fallback () =
-  Metrics.incr arena_query_fallbacks;
-  warn_once "arena.query_fallback" []
-    "query kernel on the float-midpoint fallback path (custom bounds or \
-     deeper-than-42 arena); integer cell descent does not apply"
 
 (* The domain pool *)
 
@@ -329,15 +307,14 @@ let serve_nearest_queries = Metrics.counter "serve.queries.nearest"
 let serve_cell_queries = Metrics.counter "serve.queries.cell"
 let serve_malformed_frames = Metrics.counter "serve.malformed.frames"
 
-(* Subtrees answered wholesale by containment pruning in the
-   instrumented range/count kernels — a pure function of tree shape and
-   query, hence stable; bumped only on the telemetry path so the plain
-   kernels keep their exact instruction stream. *)
+(* Subtrees answered wholesale by containment pruning in the range/count
+   kernels — a pure function of tree shape and query, hence stable;
+   bumped only on the telemetry path, from the kernel's cost scratch. *)
 let serve_pruned_subtrees_total = Metrics.counter "serve.pruned.subtrees"
 
 (* One bump per query, not per event: a large-box count prunes dozens
    of subtrees, and a sharded-counter increment per event is the kind
-   of per-node cost the instrumented kernels must not carry. *)
+   of per-node cost the kernels must not carry. *)
 let serve_pruned_subtrees n =
   if n > 0 then Metrics.incr ~by:n serve_pruned_subtrees_total
 let serve_epochs_published = Metrics.counter "serve.epochs.published"
@@ -397,9 +374,9 @@ let serve_query ~kernel =
     | `Cell -> serve_cell_queries)
 
 (* One switch for the batch loop: when neither the flight recorder nor
-   the registry wants per-query facts, the server runs the plain
-   kernels and this telemetry layer costs exactly one flag check per
-   batch. *)
+   the registry wants per-query facts, the server passes the kernels no
+   cost scratch and this telemetry layer costs exactly one flag check
+   per batch. *)
 let serve_telemetry_on () = Flight.enabled () || Metrics.enabled ()
 
 (* The admission counters again, indexed by kernel code, so the hot
@@ -414,8 +391,8 @@ let serve_query_counters =
   |]
 
 (* Reads the stop clock itself and bumps the admission counter the
-   plain [eval] takes through [serve_query], so the instrumented path
-   makes ONE probe call and ONE registry touch per query with nothing
+   telemetry-off dispatch takes through [serve_query], so the telemetry
+   path makes ONE probe call and ONE registry touch per query with nothing
    but immediates crossing the boundaries — the latency floats are
    derived inside [Metrics] / [Flight] where they feed unboxed
    stores. *)

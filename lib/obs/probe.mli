@@ -106,20 +106,6 @@ val arena_merge : unit -> unit
     runs must never change build path silently. *)
 val arena_fallback : what:string -> detail:string -> unit
 
-(** [arena_deep_float ~depth] counts a split below the 42-bit Morton
-    resolution ([arena.deep.float.splits] — duplicate-heavy data under a
-    deep [max_depth]) and emits a one-per-process [arena.deep_float]
-    event at [Warn]. *)
-val arena_deep_float : depth:int -> unit
-
-(** [arena_query_fallback ()] counts a query kernel taking the
-    float-midpoint fallback instead of integer cell descent
-    ([arena.query.fallbacks] — custom bounds, or an arena split below
-    the 42-bit fine grid) and emits a one-per-process
-    [arena.query_fallback] event at [Warn] — the same loud-degrade
-    discipline as the build fallbacks. *)
-val arena_query_fallback : unit -> unit
-
 (** {1 The domain pool} *)
 
 (** [pool_map ~tasks ~jobs f] wraps one fan-out: [pool.batch] span,
@@ -182,9 +168,9 @@ val sample_gc : unit -> unit
 
 (** [serve_query ~kernel] counts one admitted query by kernel
     ([serve.queries.range] / [.count] / [.knn] / [.nearest] /
-    [.cell]). The plain [eval] path calls this; the instrumented path
-    gets the same bump inside {!serve_query_done}, so the counters
-    agree whichever path a batch ran. *)
+    [.cell]). The serving dispatch calls this with telemetry off; with
+    telemetry on it gets the same bump inside {!serve_query_done}, so
+    the counters agree either way. *)
 val serve_query :
   kernel:[ `Range | `Count | `Knn | `Nearest | `Cell ] -> unit
 
@@ -194,32 +180,32 @@ val serve_query :
 val serve_kernel_name : int -> string
 
 (** [serve_pruned_subtrees n] counts [n] subtrees answered wholesale
-    by containment pruning in the instrumented range/count kernels
+    by containment pruning in the range/count kernels
     ([serve.pruned.subtrees] — stable: a pure function of tree shape
-    and queries, independent of scheduling). The kernels tally locally
-    and flush once per query so the counter costs O(1) per query, not
-    O(pruning events). Bumped only on the telemetry path; the plain
-    kernels prune identically but stay probe-free. *)
+    and queries, independent of scheduling). The kernels tally into the
+    caller's cost scratch and the server flushes once per query, so the
+    counter costs O(1) per query, not O(pruning events). Bumped only on
+    the telemetry path; the kernels themselves stay probe-free. *)
 val serve_pruned_subtrees : int -> unit
 
 (** [serve_telemetry_on ()] is true when either the flight recorder or
     the metrics registry wants per-query facts. The batch loop reads it
-    once per batch: false means the plain (uninstrumented) kernels run
+    once per batch: false means the kernels run without a cost scratch
     and telemetry costs exactly that one check. *)
 val serve_telemetry_on : unit -> bool
 
 (** [serve_query_done ~kernel ~epoch ~t0 ~visited ~note] records one
     answered query from its start reading [t0] ({!Clock.now_ns}): reads
     the stop clock, bumps the [serve.queries.*] admission counter (the
-    instrumented path's replacement for {!serve_query}), records
+    telemetry path's replacement for {!serve_query}), records
     latency into the unstable [serve.latency.<kind>] sketch and the
     visited-node count into the stable [serve.visited.<kind>] sketch
     (both behind one enabled check and shard lookup), and appends a
     flight-recorder entry (which emits the [serve.slow_query] event
     past the threshold). Everything crossing this boundary is an
     immediate — the latency/timestamp floats are derived inside the
-    recorders, straight into unboxed stores — so one instrumented
-    query costs one probe call and zero allocations. *)
+    recorders, straight into unboxed stores — so one recorded query
+    costs one probe call and zero allocations. *)
 val serve_query_done :
   kernel:[ `Range | `Count | `Knn | `Nearest | `Cell ] ->
   epoch:int ->

@@ -2,7 +2,6 @@
 
 module Point = Popan_geom.Point
 module Box = Popan_geom.Box
-module Morton = Popan_geom.Morton
 module Xoshiro = Popan_rng.Xoshiro
 module Pr_arena = Popan_trees.Pr_arena
 module Pr_quadtree = Popan_trees.Pr_quadtree

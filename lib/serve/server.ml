@@ -1,143 +1,73 @@
 open Import
 
-(* Sequential evaluation of one query against one arena — this single
-   function is both what the pool's tasks run and the oracle the tests
-   replay, so "batched equals sequential" is equality of schedules, not
-   of two implementations. *)
-let eval arena (q : Wire.query) : Wire.answer =
-  match q with
-  | Wire.Range b ->
-    Probe.serve_query ~kernel:`Range;
-    Wire.Points (Array.of_list (Pr_arena.query_box arena b))
-  | Wire.Count b ->
-    Probe.serve_query ~kernel:`Count;
-    Wire.Count_of (Pr_arena.count_in_box arena b)
-  | Wire.Knn (k, p) -> (
-    Probe.serve_query ~kernel:`Knn;
-    match Pr_arena.k_nearest arena k p with
-    | ps -> Wire.Points (Array.of_list ps)
-    | exception Invalid_argument m -> Wire.Rejected m)
-  | Wire.Nearest p -> (
-    Probe.serve_query ~kernel:`Nearest;
-    match Pr_arena.nearest arena p with
-    | None -> Wire.Points [||]
-    | Some q -> Wire.Points [| q |])
-  | Wire.Cell p -> (
-    Probe.serve_query ~kernel:`Cell;
-    match Pr_arena.cell_at arena p with
-    | depth, box, pts -> Wire.Cell_info (depth, box, Array.of_list pts)
-    | exception Invalid_argument m -> Wire.Rejected m)
+(* Per-domain cost scratch for the telemetry path, wrapped in its option
+   once so that passing it as [?cost] allocates nothing per query. *)
+let cost_scratch = Domain.DLS.new_key (fun () -> Some (Pr_arena.cost ()))
 
-(* [eval] under full telemetry: the visited-counting kernel variants
-   plus a per-query clock, feeding the latency/visited sketches and the
-   flight recorder through [serve_query_done] — which reads the stop
-   clock, bumps the admission counter, and takes only immediates, so
-   each arm is kernel + one probe call with no closure and no boxing.
-   A separate copy of the dispatch so the plain [eval] — the oracle the
-   tests replay — keeps its exact instruction stream. *)
-let eval_instrumented arena ~epoch (q : Wire.query) : Wire.answer =
-  let t0 = Clock.now_ns () in
-  match q with
-  | Wire.Range b ->
-    let ps, visited = Pr_arena.query_box_visited arena b in
-    let answer = Wire.Points (Array.of_list ps) in
-    Probe.serve_query_done ~kernel:`Range ~epoch ~t0 ~visited ~note:"";
-    answer
-  | Wire.Count b ->
-    let n, visited = Pr_arena.count_in_box_visited arena b in
-    Probe.serve_query_done ~kernel:`Count ~epoch ~t0 ~visited ~note:"";
-    Wire.Count_of n
-  | Wire.Knn (k, p) -> (
-    match Pr_arena.k_nearest_visited arena k p with
-    | ps, visited ->
-      let answer = Wire.Points (Array.of_list ps) in
-      Probe.serve_query_done ~kernel:`Knn ~epoch ~t0 ~visited ~note:"";
-      answer
-    | exception Invalid_argument m ->
-      Probe.serve_query_done ~kernel:`Knn ~epoch ~t0 ~visited:0 ~note:m;
-      Wire.Rejected m)
-  | Wire.Nearest p ->
-    let found, visited = Pr_arena.nearest_visited arena p in
-    let answer =
-      Wire.Points (match found with None -> [||] | Some q -> [| q |])
-    in
-    Probe.serve_query_done ~kernel:`Nearest ~epoch ~t0 ~visited ~note:"";
-    answer
-  | Wire.Cell p -> (
-    match Pr_arena.cell_at_visited arena p with
-    | (depth, box, pts), visited ->
-      let answer = Wire.Cell_info (depth, box, Array.of_list pts) in
-      Probe.serve_query_done ~kernel:`Cell ~epoch ~t0 ~visited ~note:"";
-      answer
-    | exception Invalid_argument m ->
-      Probe.serve_query_done ~kernel:`Cell ~epoch ~t0 ~visited:0 ~note:m;
-      Wire.Rejected m)
+let kernel_of : Wire.query -> _ = function
+  | Wire.Range _ -> `Range
+  | Wire.Count _ -> `Count
+  | Wire.Knn _ -> `Knn
+  | Wire.Nearest _ -> `Nearest
+  | Wire.Cell _ -> `Cell
 
-(* Morton scheduling key of one query: the Z-order cell of its anchor —
-   a box's low corner, a probe's own point — clamped into the unit
-   square. Queries anchored in one cell walk largely the same root-path
-   and subtree, so sorting a batch by this key lines consecutive tasks
-   up on warm node and column cache lines. *)
-let anchor_code (q : Wire.query) =
-  match q with
-  | Wire.Range b | Wire.Count b ->
-    Morton.encode_clamped (Point.make b.Box.xmin b.Box.ymin)
-  | Wire.Knn (_, p) | Wire.Nearest p | Wire.Cell p -> Morton.encode_clamped p
-
-(* The scheduling permutation packs (key, index) into single ints —
-   42 key bits above [sort_idx_bits] index bits, 62 total — so one flat
-   [Array.sort] on ints yields a total order (indices break key ties)
-   and the permutation is deterministic by construction. Batches too
-   large for the index field keep arrival order. *)
-let sort_idx_bits = 20
-let sort_idx_mask = (1 lsl sort_idx_bits) - 1
-
-let schedule_order queries =
-  let n = Array.length queries in
-  if n <= 1 || n > sort_idx_mask then None
-  else begin
-    let keyed =
-      Array.init n (fun i ->
-          (anchor_code queries.(i) lsl sort_idx_bits) lor i)
-    in
-    Array.sort compare keyed;
-    Some keyed
-  end
-
-(* Fan a batch out on the deterministic pool. [map_array]'s contract —
-   results in index order, byte-identical at every job count — is what
-   makes the whole response deterministic; the chunk keeps per-task
-   overhead amortized over thousands of tiny queries. Telemetry is one
-   flag check per batch: off, the tasks run the plain [eval]; on, the
-   instrumented copy.
-
-   With [sort] (the default), tasks run in Morton order of the query
-   anchors and the inverse permutation scatters answers back to arrival
-   positions. The response bytes are invariant under the reordering:
-   each answer is a pure function of (arena, query), the scatter is the
-   exact inverse of the sort's permutation, and the sort itself is
-   deterministic — so sorted-vs-arrival and every job count all produce
-   the identical response, which serve_smoke pins down byte for byte. *)
-let run_batch ?(chunk = 256) ?(epoch = 0) ?(sort = true) pool arena queries =
-  let n = Array.length queries in
-  let f =
-    if Probe.serve_telemetry_on () then fun i ->
-      eval_instrumented arena ~epoch queries.(i)
-    else fun i -> eval arena queries.(i)
+(* Evaluation of one query against one arena — the single dispatch the
+   pool's tasks run and the oracle the tests replay, so "batched equals
+   sequential" is equality of schedules, not of two implementations.
+   The kernels are the same with telemetry on or off; on, they report
+   their cost into the domain's scratch and the query is timed into the
+   latency/visited sketches and the flight recorder through
+   [serve_query_done], which takes only immediates — no closure, no
+   boxing, no allocation beyond the answer. *)
+let dispatch ~telemetry ~epoch arena (q : Wire.query) : Wire.answer =
+  let t0 = if telemetry then Clock.now_ns () else 0 in
+  let cost = if telemetry then Domain.DLS.get cost_scratch else None in
+  let note = ref "" in
+  let answer =
+    match q with
+    | Wire.Range b ->
+      Wire.Points (Array.of_list (Pr_arena.query_box ?cost arena b))
+    | Wire.Count b -> Wire.Count_of (Pr_arena.count_in_box ?cost arena b)
+    | Wire.Knn (k, p) -> (
+      match Pr_arena.k_nearest ?cost arena k p with
+      | ps -> Wire.Points (Array.of_list ps)
+      | exception Invalid_argument m ->
+        note := m;
+        Wire.Rejected m)
+    | Wire.Nearest p -> (
+      match Pr_arena.nearest ?cost arena p with
+      | None -> Wire.Points [||]
+      | Some q -> Wire.Points [| q |])
+    | Wire.Cell p -> (
+      match Pr_arena.cell_at ?cost arena p with
+      | depth, box, pts -> Wire.Cell_info (depth, box, Array.of_list pts)
+      | exception Invalid_argument m ->
+        note := m;
+        Wire.Rejected m)
   in
+  let kernel = kernel_of q in
+  (match cost with
+  | None -> Probe.serve_query ~kernel
+  | Some c ->
+    Probe.serve_pruned_subtrees c.Pr_arena.pruned;
+    Probe.serve_query_done ~kernel ~epoch ~t0 ~visited:c.Pr_arena.visited
+      ~note:!note);
+  answer
+
+let eval arena q =
+  dispatch ~telemetry:(Probe.serve_telemetry_on ()) ~epoch:0 arena q
+
+(* Fan a batch out on the deterministic pool, in arrival order.
+   [map_array]'s contract — results in index order, byte-identical at
+   every job count — is what makes the whole response deterministic;
+   the chunk keeps per-task overhead amortized over thousands of tiny
+   queries. Telemetry is one flag check per batch. *)
+let run_batch ?(chunk = 256) ?(epoch = 0) pool arena queries =
+  let n = Array.length queries in
+  let telemetry = Probe.serve_telemetry_on () in
   Probe.serve_batch ~queries:n ~jobs:(Parallel.Pool.jobs pool) (fun () ->
-      match (if sort then schedule_order queries else None) with
-      | None -> Parallel.Pool.map_array ~chunk pool n ~f
-      | Some keyed ->
-        let sorted =
-          Parallel.Pool.map_array ~chunk pool n ~f:(fun j ->
-              f (keyed.(j) land sort_idx_mask))
-        in
-        let out = Array.make n sorted.(0) in
-        for j = 0 to n - 1 do
-          out.(keyed.(j) land sort_idx_mask) <- sorted.(j)
-        done;
-        out)
+      Parallel.Pool.map_array ~chunk pool n ~f:(fun i ->
+          dispatch ~telemetry ~epoch arena queries.(i)))
 
 type config = {
   jobs : int option;  (** pool width; [None] = the session default *)
@@ -149,7 +79,6 @@ type config = {
   update_fraction : float;
   drift_sigma : float;
   mmap_dir : string option;  (** back epoch 0's arena columns with mmap *)
-  batch_sort : bool;  (** Morton-sort batch work (response bytes unchanged) *)
 }
 
 let default_config =
@@ -163,7 +92,6 @@ let default_config =
     update_fraction = 1.0 /. 3.0;
     drift_sigma = 0.01;
     mmap_dir = None;
-    batch_sort = true;
   }
 
 type t = {
@@ -270,8 +198,7 @@ let run_queries t queries =
           Probe.serve_epoch_batch ~age:t.epoch_batches);
         Epoch.unpin t.epochs e)
       (fun () ->
-        run_batch ~epoch:(Epoch.id e) ~sort:t.config.batch_sort t.pool
-          (Epoch.arena e) queries)
+        run_batch ~epoch:(Epoch.id e) t.pool (Epoch.arena e) queries)
   in
   t.batches <- t.batches + 1;
   (Epoch.id e, answers)

@@ -14,36 +14,24 @@ open Import
     costs O(churn ops), not a copy of the arena. Readers never observe
     a torn arena: the two slots share no mutable state. *)
 
-(** [eval arena q] answers one query sequentially — the same function
-    the pool's tasks run when telemetry is off, and the oracle tests
-    replay. *)
+(** [eval arena q] answers one query sequentially — the dispatch the
+    pool's tasks run, and the oracle tests replay. With telemetry on
+    ({!Probe.serve_telemetry_on}) the kernel also reports its
+    visited-node and pruned-subtree counts and the query is recorded
+    through {!Probe.serve_query_done} (latency/visited sketches and the
+    flight recorder) under epoch 0. The answer is the same either way:
+    both run the one kernel per query kind. *)
 val eval : Pr_arena.t -> Wire.query -> Wire.answer
 
-(** [eval_instrumented arena ~epoch q] is {!eval} under full telemetry:
-    the visited-counting kernels plus a per-query clock, recorded
-    through {!Probe.serve_query_done} (latency/visited sketches and the
-    flight recorder). Same answers as {!eval}, always. *)
-val eval_instrumented : Pr_arena.t -> epoch:int -> Wire.query -> Wire.answer
-
-(** [run_batch ?chunk ?epoch ?sort pool arena queries] answers a whole
-    batch on the pool, results in request order, wrapped in the
-    [serve:batch] probe (queue-depth gauge, latency histogram,
+(** [run_batch ?chunk ?epoch pool arena queries] answers a whole batch
+    on the pool in arrival order, results in request order, wrapped in
+    the [serve:batch] probe (queue-depth gauge, latency histogram,
     per-kernel counters). Telemetry costs one
-    {!Probe.serve_telemetry_on} check per batch: off, the tasks run the
-    plain {!eval}; on, {!eval_instrumented} tagged with [epoch]
-    (default 0).
-
-    With [sort] (the default), tasks are scheduled in Morton order of
-    the query anchors — a box's low corner, a probe point — so
-    consecutive tasks touch overlapping root paths and warm column
-    cache lines. A deterministic inverse permutation scatters the
-    answers back to arrival positions: the response is byte-identical
-    to [~sort:false] at every job count (batches over [2^20] queries
-    fall back to arrival order). *)
+    {!Probe.serve_telemetry_on} check per batch, which holds for every
+    query of it; recorded queries are tagged with [epoch] (default 0). *)
 val run_batch :
   ?chunk:int ->
   ?epoch:int ->
-  ?sort:bool ->
   Parallel.Pool.t -> Pr_arena.t -> Wire.query array -> Wire.answer array
 
 type config = {
@@ -60,13 +48,10 @@ type config = {
   mmap_dir : string option;
       (** back epoch 0's arena columns with mmap; the standby twin is a
           heap {!Pr_arena.snapshot} *)
-  batch_sort : bool;
-      (** Morton-sort batch work before fan-out; the response bytes are
-          identical either way — this only reorders the computation *)
 }
 
 (** 10k uniform points at capacity 8, seed 1987, 256 churn ops per
-    batch with the PR 7 churn defaults, heap-backed, batch sorting on. *)
+    batch with the PR 7 churn defaults, heap-backed. *)
 val default_config : config
 
 type t

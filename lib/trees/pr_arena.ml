@@ -5,9 +5,9 @@ module Parallel = Popan_parallel
    (Morton.encode_fine): tree levels 0..20 are decided by the hi word —
    the historical 21-bit-per-axis interleave, still the stored per-slot
    [codes] entry — and levels 21..41 by the lo word, computed on demand
-   from the float coordinates. Only below depth 42 (duplicate-heavy data
-   under a deep max_depth) does the build fall back to float-midpoint
-   arithmetic, and that path warns via [Probe.arena_deep_float]. *)
+   from the float coordinates. The arena covers the unit square only and
+   [max_depth] is capped at 42, so every split a tree can make is
+   decided by integer code bits. *)
 let bits = Morton.bits
 let bits_fine = 2 * bits
 let axis_mask = (1 lsl bits) - 1
@@ -50,8 +50,6 @@ type backing = Heap | Mmap of { dir : string }
 type t = {
   capacity : int;
   max_depth : int;
-  bounds : Box.t;
-  unit_bounds : bool;
   mutable backing : backing;  (* effective: Heap after an mmap failure *)
   seg_dir : string option;  (* this arena's private segment directory *)
   mutable seg_bytes : (string * int) list;  (* segment name -> bytes *)
@@ -180,10 +178,10 @@ let release t =
     Probe.arena_mapped_bytes ~bytes:total;
     (try Unix.rmdir dir with Unix.Unix_error _ | Sys_error _ -> ())
 
-let create ?(max_depth = 16) ?(bounds = Box.unit) ?(reserve = 0)
-    ?(backing = Heap) ~capacity () =
+let create ?(max_depth = 16) ?(reserve = 0) ?(backing = Heap) ~capacity () =
   if capacity < 1 then invalid_arg "Pr_arena.create: capacity < 1";
-  if max_depth < 0 then invalid_arg "Pr_arena.create: max_depth < 0";
+  if max_depth < 0 || max_depth > bits_fine then
+    invalid_arg "Pr_arena.create: max_depth outside 0..42";
   if reserve < 0 then invalid_arg "Pr_arena.create: reserve < 0";
   let hist = Array.make (capacity + 1) 0 in
   hist.(0) <- 1;
@@ -206,8 +204,6 @@ let create ?(max_depth = 16) ?(bounds = Box.unit) ?(reserve = 0)
     {
       capacity;
       max_depth;
-      bounds;
-      unit_bounds = Box.equal bounds Box.unit;
       backing;
       seg_dir;
       seg_bytes = [];
@@ -245,7 +241,6 @@ let create ?(max_depth = 16) ?(bounds = Box.unit) ?(reserve = 0)
 
 let capacity t = t.capacity
 let max_depth t = t.max_depth
-let bounds t = t.bounds
 let backing t = t.backing
 let size t = t.size
 let is_empty t = t.size = 0
@@ -433,33 +428,9 @@ let rec distribute_fine t base depth slot =
     distribute_fine t base depth nxt
   end
 
-(* Same, keyed by float midpoint comparisons (custom bounds, or cells
-   below the fine Morton resolution). *)
-let rec distribute_float t base cx cy slot =
-  if slot >= 0 then begin
-    let nxt = t.next.{slot} in
-    let px = if t.xs.{slot} >= cx then 1 else 0 in
-    let py = if t.ys.{slot} >= cy then 2 else 0 in
-    let c = base + px + py in
-    t.next.{slot} <- t.head.(c);
-    t.head.(c) <- slot;
-    t.count.(c) <- t.count.(c) + 1;
-    distribute_float t base cx cy nxt
-  end
-
-(* The (exactly representable, dyadic) lower-left corner of the cell at
-   [depth] <= bits_fine containing stored slot [slot]. *)
-let slot_cell_x0 t slot depth =
-  ldexp (float_of_int (fine_x t slot lsr (bits_fine - depth))) (-depth)
-
-let slot_cell_y0 t slot depth =
-  ldexp (float_of_int (fine_y t slot lsr (bits_fine - depth))) (-depth)
-
 (* Split an over-full, deregistered former leaf [node] at [depth]
-   (< max_depth). Levels above [bits] key on the stored hi word, levels
-   in [bits, bits_fine) on the on-demand fine ordinates; only below the
-   fine resolution (42) does the split switch to float midpoints,
-   deriving the (exactly representable) cell from any chained slot. *)
+   (< max_depth <= 42). Levels above [bits] key on the stored hi word,
+   levels in [bits, bits_fine) on the on-demand fine ordinates. *)
 let rec split_code t node depth =
   if depth >= bits then split_fine t node depth
   else begin
@@ -482,67 +453,36 @@ let rec split_code t node depth =
   end
 
 and split_fine t node depth =
-  if depth >= bits_fine then begin
-    Probe.arena_deep_float ~depth;
-    let s = t.head.(node) in
-    let x0 = slot_cell_x0 t s bits_fine and y0 = slot_cell_y0 t s bits_fine in
-    let side = ldexp 1.0 (-bits_fine) in
-    split_float t node depth x0 y0 (x0 +. side) (y0 +. side)
-  end
-  else begin
-    t.internals <- t.internals + 1;
-    Probe.builder_split ~depth;
-    let base = alloc_children t in
-    let chain = t.head.(node) in
-    t.child.(node) <- base;
-    t.head.(node) <- -1;
-    distribute_fine t base depth chain;
-    let cdepth = depth + 1 in
-    for i = 0 to 3 do
-      let c = base + i in
-      let cc = t.count.(c) in
-      if cc <= t.capacity || cdepth >= t.max_depth then note_leaf t cdepth cc
-      else split_fine t c cdepth
-    done
-  end
-
-and split_float t node depth x0 y0 x1 y1 =
   t.internals <- t.internals + 1;
   Probe.builder_split ~depth;
-  let cx = 0.5 *. (x0 +. x1) and cy = 0.5 *. (y0 +. y1) in
   let base = alloc_children t in
   let chain = t.head.(node) in
   t.child.(node) <- base;
   t.head.(node) <- -1;
-  distribute_float t base cx cy chain;
+  distribute_fine t base depth chain;
   let cdepth = depth + 1 in
   for i = 0 to 3 do
     let c = base + i in
     let cc = t.count.(c) in
     if cc <= t.capacity || cdepth >= t.max_depth then note_leaf t cdepth cc
-    else
-      split_float t c cdepth
-        (if i land 1 = 1 then cx else x0)
-        (if i land 2 = 2 then cy else y0)
-        (if i land 1 = 1 then x1 else cx)
-        (if i land 2 = 2 then y1 else cy)
+    else split_fine t c cdepth
   done
 
-(* Descend by Morton bits (unit bounds): the hi word down to level
-   [bits], then the fine ordinates down to level [bits_fine] — ints
-   only, so a no-split insert allocates nothing at any depth above 42.
-   The equivalence with float midpoints holds level for level: the cell
-   midpoint at depth d <= 41 is the dyadic k/2^(d+1), and
-   [x >= k/2^(d+1)] iff bit (41 - d) of [floor (x * 2^42)] is set,
-   given the shared cell prefix. *)
+(* Descend by Morton bits: the hi word down to level [bits], then the
+   fine ordinates below it — ints only, so a no-split insert allocates
+   nothing at any depth. Internal nodes sit above [max_depth <= 42], so
+   the fine ordinates never run out. The equivalence with float
+   midpoints holds level for level: the cell midpoint at depth d <= 41
+   is the dyadic k/2^(d+1), and [x >= k/2^(d+1)] iff bit (41 - d) of
+   [floor (x * 2^42)] is set, given the shared cell prefix. *)
 let rec insert_code t node depth code slot =
   let base = t.child.(node) in
   if base >= 0 then
     if depth < bits then begin
       (* Subtree counts: every internal node on the descent gains the
-         point. Regime hand-offs below re-enter the SAME node, so the
-         increment lives only in the branches that actually step to a
-         child. *)
+         point. The hand-off to [insert_fine] re-enters the SAME node,
+         so the increment lives only in the branches that actually step
+         to a child. *)
       t.count.(node) <- t.count.(node) + 1;
       insert_code t (base + pair_at code depth) (depth + 1) code slot
     end
@@ -551,53 +491,14 @@ let rec insert_code t node depth code slot =
 
 and insert_fine t node depth qx qy slot =
   let base = t.child.(node) in
-  if base >= 0 then
-    if depth < bits_fine then begin
-      t.count.(node) <- t.count.(node) + 1;
-      insert_fine t (base + pair_fine qx qy depth) (depth + 1) qx qy slot
-    end
-    else begin
-      let x0 = ldexp (float_of_int qx) (-bits_fine)
-      and y0 = ldexp (float_of_int qy) (-bits_fine) in
-      let side = ldexp 1.0 (-bits_fine) in
-      insert_float t node depth slot x0 y0 (x0 +. side) (y0 +. side)
-    end
-  else if absorb t node depth slot then split_fine t node depth
-
-and insert_float t node depth slot x0 y0 x1 y1 =
-  let base = t.child.(node) in
   if base >= 0 then begin
     t.count.(node) <- t.count.(node) + 1;
-    let cx = 0.5 *. (x0 +. x1) and cy = 0.5 *. (y0 +. y1) in
-    if t.ys.{slot} >= cy then
-      if t.xs.{slot} >= cx then
-        insert_float t (base + 3) (depth + 1) slot cx cy x1 y1
-      else insert_float t (base + 2) (depth + 1) slot x0 cy cx y1
-    else if t.xs.{slot} >= cx then
-      insert_float t (base + 1) (depth + 1) slot cx y0 x1 cy
-    else insert_float t base (depth + 1) slot x0 y0 cx cy
+    insert_fine t (base + pair_fine qx qy depth) (depth + 1) qx qy slot
   end
-  else if absorb t node depth slot then split_float t node depth x0 y0 x1 y1
-
-(* Quantized normalized code. For unit bounds this is Morton.encode and
-   drives the decomposition exactly; for custom bounds it is advisory
-   (the decomposition uses float midpoints) but keeps Z-order sorting
-   meaningful. *)
-let point_code t x y =
-  if t.unit_bounds then
-    Morton.interleave
-      (int_of_float (x *. quantize_scale))
-      (int_of_float (y *. quantize_scale))
-  else begin
-    let b = t.bounds in
-    let nx = (x -. b.Box.xmin) /. (b.Box.xmax -. b.Box.xmin) in
-    let ny = (y -. b.Box.ymin) /. (b.Box.ymax -. b.Box.ymin) in
-    let clamp v = if v < 0.0 then 0.0 else if v >= 1.0 then 0x1FFFFFp-21 else v in
-    Morton.interleave (Morton.quantize (clamp nx)) (Morton.quantize (clamp ny))
-  end
+  else if absorb t node depth slot then split_fine t node depth
 
 let insert t p =
-  if not (Box.contains t.bounds p) then
+  if not (Point.in_unit_square p) then
     invalid_arg "Pr_arena.insert: point outside bounds";
   Probe.builder_insert ();
   (* A freed slot is reused before the high-water mark moves, so a
@@ -619,20 +520,13 @@ let insert t p =
   let x = p.Point.x and y = p.Point.y in
   t.xs.{slot} <- x;
   t.ys.{slot} <- y;
-  if t.unit_bounds then begin
-    let code =
-      Morton.interleave
-        (int_of_float (x *. quantize_scale))
-        (int_of_float (y *. quantize_scale))
-    in
-    t.codes.{slot} <- code;
-    insert_code t 0 0 code slot
-  end
-  else begin
-    t.codes.{slot} <- point_code t x y;
-    let b = t.bounds in
-    insert_float t 0 0 slot b.Box.xmin b.Box.ymin b.Box.xmax b.Box.ymax
-  end
+  let code =
+    Morton.interleave
+      (int_of_float (x *. quantize_scale))
+      (int_of_float (y *. quantize_scale))
+  in
+  t.codes.{slot} <- code;
+  insert_code t 0 0 code slot
 
 let insert_all t ps = List.iter (insert t) ps
 
@@ -660,10 +554,9 @@ let insert_all t ps = List.iter (insert t) ps
 
 (* Descend to the leaf whose cell contains the query point, writing
    every visited node id (the leaf included) into [t.path] and
-   returning the leaf depth. Mirrors [insert_code] / [insert_fine] /
-   [insert_float] regime for regime; the int-only levels pass the
-   query as Morton words and fine ordinates, and the float levels read
-   the coordinates back out of [t.qbuf] (unboxed Bigarray loads). *)
+   returning the leaf depth. Mirrors [insert_code] / [insert_fine]
+   level for level, passing the query as its Morton hi word and fine
+   ordinates. *)
 let rec locate_code t node depth code qx qy =
   t.path.(depth) <- node;
   let base = t.child.(node) in
@@ -676,29 +569,7 @@ and locate_fine t node depth qx qy =
   t.path.(depth) <- node;
   let base = t.child.(node) in
   if base < 0 then depth
-  else if depth < bits_fine then
-    locate_fine t (base + pair_fine qx qy depth) (depth + 1) qx qy
-  else begin
-    let x0 = ldexp (float_of_int qx) (-bits_fine)
-    and y0 = ldexp (float_of_int qy) (-bits_fine) in
-    let side = ldexp 1.0 (-bits_fine) in
-    locate_float t node depth x0 y0 (x0 +. side) (y0 +. side)
-  end
-
-and locate_float t node depth x0 y0 x1 y1 =
-  t.path.(depth) <- node;
-  let base = t.child.(node) in
-  if base < 0 then depth
-  else begin
-    let cx = 0.5 *. (x0 +. x1) and cy = 0.5 *. (y0 +. y1) in
-    if t.qbuf.{1} >= cy then
-      if t.qbuf.{0} >= cx then
-        locate_float t (base + 3) (depth + 1) cx cy x1 y1
-      else locate_float t (base + 2) (depth + 1) x0 cy cx y1
-    else if t.qbuf.{0} >= cx then
-      locate_float t (base + 1) (depth + 1) cx y0 x1 cy
-    else locate_float t base (depth + 1) x0 y0 cx cy
-  end
+  else locate_fine t (base + pair_fine qx qy depth) (depth + 1) qx qy
 
 (* Unlink the first slot in [leaf]'s chain equal to the query point in
    [t.qbuf] and return it, or -1 when absent. Exact float comparison:
@@ -772,22 +643,17 @@ let rec merge_up t depth =
 
 let delete t p =
   let x = p.Point.x and y = p.Point.y in
-  if not (Box.contains t.bounds p) then false
+  if not (Point.in_unit_square p) then false
   else begin
     t.qbuf.{0} <- x;
     t.qbuf.{1} <- y;
     let depth =
-      if t.unit_bounds then
-        locate_code t 0 0
-          (Morton.interleave
-             (int_of_float (x *. quantize_scale))
-             (int_of_float (y *. quantize_scale)))
-          (int_of_float (x *. fine_scale))
-          (int_of_float (y *. fine_scale))
-      else begin
-        let b = t.bounds in
-        locate_float t 0 0 b.Box.xmin b.Box.ymin b.Box.xmax b.Box.ymax
-      end
+      locate_code t 0 0
+        (Morton.interleave
+           (int_of_float (x *. quantize_scale))
+           (int_of_float (y *. quantize_scale)))
+        (int_of_float (x *. fine_scale))
+        (int_of_float (y *. fine_scale))
     in
     let leaf = t.path.(depth) in
     let slot = unlink_slot t leaf (-1) t.head.(leaf) in
@@ -819,7 +685,7 @@ let delete t p =
   end
 
 let update t p q =
-  if not (Box.contains t.bounds q) then
+  if not (Point.in_unit_square q) then
     invalid_arg "Pr_arena.update: replacement point outside bounds";
   delete t p
   && begin
@@ -827,8 +693,8 @@ let update t p q =
        true
      end
 
-let of_points ?max_depth ?bounds ~capacity ps =
-  let t = create ?max_depth ?bounds ~capacity () in
+let of_points ?max_depth ~capacity ps =
+  let t = create ?max_depth ~capacity () in
   Probe.arena_build `Incremental ~inserts:(List.length ps) (fun () ->
       insert_all t ps);
   t
@@ -860,68 +726,18 @@ let emit_leaf t (ss : iarr) lo hi node depth =
   end;
   note_leaf t depth n
 
-(* Stable 4-way partition of slots ss[lo, hi) by float midpoints, used
-   for custom bounds and for cells below the fine Morton resolution.
-   [ds] is a whole-column scratch shared down the recursion; [cnt] is a
-   4-slot buffer for the counting pass, reused by every node — pair
-   counts land in it branchlessly (indexing, not matching), then it
-   holds the running write bases. *)
-let rec build_float t (ss : iarr) (ds : iarr) cnt lo hi node depth x0 y0 x1 y1
-    =
-  if hi - lo <= t.capacity || depth >= t.max_depth then
-    emit_leaf t ss lo hi node depth
-  else begin
-    t.internals <- t.internals + 1;
-    Probe.builder_split ~depth;
-    let cx = 0.5 *. (x0 +. x1) and cy = 0.5 *. (y0 +. y1) in
-    let pair slot =
-      (if t.xs.{slot} >= cx then 1 else 0)
-      + if t.ys.{slot} >= cy then 2 else 0
-    in
-    cnt.(0) <- 0;
-    cnt.(1) <- 0;
-    cnt.(2) <- 0;
-    cnt.(3) <- 0;
-    for k = lo to hi - 1 do
-      let d = pair ss.{k} in
-      cnt.(d) <- cnt.(d) + 1
-    done;
-    let e1 = lo + cnt.(0) in
-    let e2 = e1 + cnt.(1) in
-    let e3 = e2 + cnt.(2) in
-    cnt.(0) <- lo;
-    cnt.(1) <- e1;
-    cnt.(2) <- e2;
-    cnt.(3) <- e3;
-    for k = lo to hi - 1 do
-      let slot = ss.{k} in
-      let d = pair slot in
-      let p = cnt.(d) in
-      ds.{p} <- slot;
-      cnt.(d) <- p + 1
-    done;
-    for k = lo to hi - 1 do
-      ss.{k} <- ds.{k}
-    done;
-    let base = alloc_children t in
-    t.child.(node) <- base;
-    t.count.(node) <- hi - lo;
-    let cdepth = depth + 1 in
-    build_float t ss ds cnt lo e1 base cdepth x0 y0 cx cy;
-    build_float t ss ds cnt e1 e2 (base + 1) cdepth cx y0 x1 cy;
-    build_float t ss ds cnt e2 e3 (base + 2) cdepth x0 cy cx y1;
-    build_float t ss ds cnt e3 hi (base + 3) cdepth cx cy x1 y1
-  end
-
-(* The Morton twin of [build_float]: a stable counting partition of
-   (sk, ss)[lo, hi) on the two key bits at [depth] — MSD radix, one
-   level per split. The scatter lands in (dk, ds) and the children swap
-   the buffer pairs — no copy back; sibling ranges are disjoint, so
+(* A stable counting partition of (sk, ss)[lo, hi) on the two key bits
+   at [depth] — MSD radix, one level per split. [cnt] is a 4-slot
+   buffer for the counting pass, reused by every node — pair counts land
+   in it branchlessly (indexing, not matching), then it holds the
+   running write bases. The scatter lands in (dk, ds) and the children
+   swap the buffer pairs — no copy back; sibling ranges are disjoint, so
    each subtree ping-pongs its own slice independently, which is also
    what makes the range fan-out below safe on shared buffers. [fine]
    says the key column already holds lo words; crossing level [bits]
    reloads the column in place (the hi words are constant across the
-   range there) and continues at the same depth. *)
+   range there) and continues at the same depth. Splits happen above
+   [max_depth <= 42], so the lo word never runs out. *)
 let rec build_sorted t (sk : iarr) (ss : iarr) (dk : iarr) (ds : iarr) cnt lo
     hi node depth fine =
   if hi - lo <= t.capacity || depth >= t.max_depth then
@@ -931,15 +747,6 @@ let rec build_sorted t (sk : iarr) (ss : iarr) (dk : iarr) (ds : iarr) cnt lo
       sk.{k} <- lo_code t ss.{k}
     done;
     build_sorted t sk ss dk ds cnt lo hi node depth true
-  end
-  else if depth >= bits_fine then begin
-    (* Below the fine resolution every key coincides; continue from the
-       shared (exactly representable) cell with float midpoints. *)
-    Probe.arena_deep_float ~depth;
-    let s = ss.{lo} in
-    let x0 = slot_cell_x0 t s depth and y0 = slot_cell_y0 t s depth in
-    let side = ldexp 1.0 (-depth) in
-    build_float t ss ds cnt lo hi node depth x0 y0 (x0 +. side) (y0 +. side)
   end
   else begin
     t.internals <- t.internals + 1;
@@ -1015,54 +822,6 @@ let emit_leaf_packed t (order : int array) lo hi node depth =
   end;
   note_leaf t depth n
 
-(* Float-midpoint partition over raw slots in the packed path's int
-   arrays — the [build_float] twin reached only below the fine Morton
-   resolution (the caller strips the constant prefixes first). *)
-let rec build_float_packed t (ss : int array) (ds : int array) cnt lo hi node
-    depth x0 y0 x1 y1 =
-  if hi - lo <= t.capacity || depth >= t.max_depth then
-    emit_leaf_packed t ss lo hi node depth
-  else begin
-    t.internals <- t.internals + 1;
-    Probe.builder_split ~depth;
-    let cx = 0.5 *. (x0 +. x1) and cy = 0.5 *. (y0 +. y1) in
-    let pair slot =
-      (if t.xs.{slot} >= cx then 1 else 0)
-      + if t.ys.{slot} >= cy then 2 else 0
-    in
-    cnt.(0) <- 0;
-    cnt.(1) <- 0;
-    cnt.(2) <- 0;
-    cnt.(3) <- 0;
-    for k = lo to hi - 1 do
-      let d = pair ss.(k) in
-      cnt.(d) <- cnt.(d) + 1
-    done;
-    let e1 = lo + cnt.(0) in
-    let e2 = e1 + cnt.(1) in
-    let e3 = e2 + cnt.(2) in
-    cnt.(0) <- lo;
-    cnt.(1) <- e1;
-    cnt.(2) <- e2;
-    cnt.(3) <- e3;
-    for k = lo to hi - 1 do
-      let slot = ss.(k) in
-      let d = pair slot in
-      let p = cnt.(d) in
-      ds.(p) <- slot;
-      cnt.(d) <- p + 1
-    done;
-    Array.blit ds lo ss lo (hi - lo);
-    let base = alloc_children t in
-    t.child.(node) <- base;
-    t.count.(node) <- hi - lo;
-    let cdepth = depth + 1 in
-    build_float_packed t ss ds cnt lo e1 base cdepth x0 y0 cx cy;
-    build_float_packed t ss ds cnt e1 e2 (base + 1) cdepth cx y0 x1 cy;
-    build_float_packed t ss ds cnt e2 e3 (base + 2) cdepth x0 cy cx y1;
-    build_float_packed t ss ds cnt e3 hi (base + 3) cdepth cx cy x1 y1
-  end
-
 let rec build_packed t (src : int array) (dst : int array) cnt lo hi node
     depth fine =
   if hi - lo <= t.capacity || depth >= t.max_depth then
@@ -1076,20 +835,6 @@ let rec build_packed t (src : int array) (dst : int array) cnt lo hi node
       src.(k) <- (lo_code t slot lsl bits) lor slot
     done;
     build_packed t src dst cnt lo hi node depth true
-  end
-  else if depth >= bits_fine then begin
-    (* Below the fine resolution every key coincides; strip to raw
-       slots and continue from the shared (exactly representable) cell
-       with float midpoints. *)
-    Probe.arena_deep_float ~depth;
-    for k = lo to hi - 1 do
-      src.(k) <- src.(k) land packed_slot_mask
-    done;
-    let s = src.(lo) in
-    let x0 = slot_cell_x0 t s depth and y0 = slot_cell_y0 t s depth in
-    let side = ldexp 1.0 (-depth) in
-    build_float_packed t src dst cnt lo hi node depth x0 y0 (x0 +. side)
-      (y0 +. side)
   end
   else begin
     t.internals <- t.internals + 1;
@@ -1309,39 +1054,18 @@ let bulk_build t n ~jobs ~pool ~packed =
   t.hist.(0) <- 0;
   t.height <- 0;
   t.depth_count.(0) <- 0;
-  let parallel_requested = jobs <> None || pool <> None in
-  if not t.unit_bounds then begin
-    (* Codes never steer custom bounds; the float partition handles the
-       whole tree. The fan-out keys on Morton ranges, so it does not
-       apply here — say so rather than quietly building differently. *)
-    if parallel_requested then
-      Probe.arena_fallback ~what:"parallel-custom-bounds"
-        ~detail:"custom bounds build sequentially (float-midpoint path)";
-    let slots = alloc_i t "slots" (max n 1) in
-    let slots2 = alloc_i t "slots2" (max n 1) in
-    for i = 0 to n - 1 do
-      slots.{i} <- i
-    done;
-    let b = t.bounds in
+  match packed with
+  | Some packed ->
+    (* The packed fast path (see [build_packed]): one word per element
+       in two plain int arrays, with the key array already built by the
+       caller's fill loop. The arrays are transient sort scratch — at
+       most 16 MB each at the size bound — so a heap build loses nothing
+       of the out-of-core story by using them; mmap-backed arenas keep
+       every buffer in segments and take the column path below. *)
+    let scratch = Array.make (max n 1) 0 in
     let cnt = Array.make 4 0 in
-    build_float t slots slots2 cnt 0 n 0 0 b.Box.xmin b.Box.ymin b.Box.xmax
-      b.Box.ymax
-  end
-  else
-    match packed with
-    | Some packed ->
-      (* The packed fast path (see [build_packed]): one word per element
-         in two plain int arrays, with the key array already built by
-         the caller's fill loop. The arrays are transient sort scratch —
-         at most 16 MB each at the size bound — so a heap build loses
-         nothing of the out-of-core story by using them; mmap-backed
-         arenas keep every buffer in segments and take the column path
-         below. *)
-      let scratch = Array.make (max n 1) 0 in
-      let cnt = Array.make 4 0 in
-      build_packed t packed scratch cnt 0 n 0 0 false
-    | None ->
-      begin
+    build_packed t packed scratch cnt 0 n 0 0 false
+  | None -> (
     let keys = alloc_i t "keys" (max n 1) in
     let slots = alloc_i t "slots" (max n 1) in
     let keys2 = alloc_i t "keys2" (max n 1) in
@@ -1359,53 +1083,40 @@ let bulk_build t n ~jobs ~pool ~packed =
             parallel_build t n p keys slots keys2 slots2)
       | None ->
         let cnt = Array.make 4 0 in
-        build_sorted t keys slots keys2 slots2 cnt 0 n 0 0 false)
-  end
+        build_sorted t keys slots keys2 slots2 cnt 0 n 0 0 false))
 
 (* Fills slot [i] and returns the stored code, so packed-path callers
    can build their sort keys inside the fill loop instead of re-reading
    the codes column in a second pass. *)
 let bulk_fill t i p =
-  if not (Box.contains t.bounds p) then
+  if not (Point.in_unit_square p) then
     invalid_arg "Pr_arena bulk build: point outside bounds";
-  (* The unit-bounds encode is written out inline rather than routed
-     through [point_code]: a float passed to a non-inlined call gets
-     boxed, and two boxes per point is exactly the O(n) minor-heap
-     traffic the bulk path promises not to have (the alloc test
-     measures this loop). Kept unboxed, the reads feed the Bigarray
-     stores and the quantizing multiply directly. *)
-  if t.unit_bounds then begin
-    let x = p.Point.x and y = p.Point.y in
-    t.xs.{i} <- x;
-    t.ys.{i} <- y;
-    let code =
-      Morton.interleave
-        (int_of_float (x *. quantize_scale))
-        (int_of_float (y *. quantize_scale))
-    in
-    t.codes.{i} <- code;
-    code
-  end
-  else begin
-    t.xs.{i} <- p.Point.x;
-    t.ys.{i} <- p.Point.y;
-    let code = point_code t p.Point.x p.Point.y in
-    t.codes.{i} <- code;
-    code
-  end
+  (* The encode is written out inline, as in [insert]: a float passed to
+     a non-inlined call gets boxed, and two boxes per point is exactly
+     the O(n) minor-heap traffic the bulk path promises not to have (the
+     alloc test measures this loop). Kept unboxed, the reads feed the
+     Bigarray stores and the quantizing multiply directly. *)
+  let x = p.Point.x and y = p.Point.y in
+  t.xs.{i} <- x;
+  t.ys.{i} <- y;
+  let code =
+    Morton.interleave
+      (int_of_float (x *. quantize_scale))
+      (int_of_float (y *. quantize_scale))
+  in
+  t.codes.{i} <- code;
+  code
 
-(* The packed fast path applies to sequential, heap-backed, unit-bounds
-   builds small enough for single-word keys (see [build_packed]); the
-   entry points share the predicate so they can fuse key packing into
-   their fill loops. *)
+(* The packed fast path applies to sequential, heap-backed builds small
+   enough for single-word keys (see [build_packed]); the entry points
+   share the predicate so they can fuse key packing into their fill
+   loops. *)
 let packed_capable t n ~jobs ~pool =
-  jobs = None && pool = None
-  && n <= packed_slot_mask
-  && t.backing = Heap && t.unit_bounds
+  jobs = None && pool = None && n <= packed_slot_mask && t.backing = Heap
 
-let of_points_bulk ?max_depth ?bounds ?backing ?jobs ?pool ~capacity ps =
+let of_points_bulk ?max_depth ?backing ?jobs ?pool ~capacity ps =
   let n = List.length ps in
-  let t = create ?max_depth ?bounds ?backing ~reserve:n ~capacity () in
+  let t = create ?max_depth ?backing ~reserve:n ~capacity () in
   Probe.arena_build `Bulk ~inserts:n (fun () ->
       let packed =
         if packed_capable t n ~jobs ~pool then Some (Array.make (max n 1) 0)
@@ -1431,9 +1142,9 @@ let of_points_bulk ?max_depth ?bounds ?backing ?jobs ?pool ~capacity ps =
       bulk_build t n ~jobs ~pool ~packed);
   t
 
-let bulk_of_fn ?max_depth ?bounds ?backing ?jobs ?pool ~capacity ~n f =
+let bulk_of_fn ?max_depth ?backing ?jobs ?pool ~capacity ~n f =
   if n < 0 then invalid_arg "Pr_arena.bulk_of_fn: n < 0";
-  let t = create ?max_depth ?bounds ?backing ~reserve:n ~capacity () in
+  let t = create ?max_depth ?backing ~reserve:n ~capacity () in
   Probe.arena_build `Bulk ~inserts:n (fun () ->
       (* Generation is strictly in slot order 0 .. n-1 on the calling
          domain, so a stateful generator (an RNG stream) draws exactly
@@ -1485,7 +1196,7 @@ let fold_leaves t ~init ~f =
       !acc
     end
   in
-  go init 0 ~depth:0 ~box:t.bounds
+  go init 0 ~depth:0 ~box:Box.unit
 
 let iter_points t ~f =
   (* Walk the leaf chains, not the slot range: once points have been
@@ -1517,49 +1228,57 @@ let points t =
    These walk the child-base table and the slot columns directly — no
    freeze to a boxed {!Pr_quadtree} per query — and mutate nothing, so
    any number of domains may query one arena concurrently (the serving
-   layer fans batches out over one pinned epoch arena).
+   layer fans batches out over one pinned epoch arena). Each query kind
+   has exactly one traversal, and it always counts the nodes it enters.
 
-   Two structural upgrades over a plain box-descent walk:
+   Integer cell descent. Every cell is a dyadic sub-cell of the unit
+   square no finer than the 2^-42 grid, so the kernels carry cells as
+   fine integer corners [(qx0, qy0)] with a side exponent [shift] (root:
+   [bits_fine]; a child halves the side and offsets its corner by [hs]),
+   materializing the exact corner floats [k / 2^42] only for the target
+   compares: no box record per visited node, and the count and nearest
+   walks allocate nothing per node (asserted in test_alloc). The corners
+   are bit-identical to [Box.child]'s midpoint cascade, which keeps the
+   answers equal to {!Pr_quadtree}'s.
 
    Containment pruning. Every node carries its exact subtree population
    ([t.count]), so when the target box contains a node's whole cell the
-   kernel answers for the subtree without testing a single point:
-   [count_in_box] adds the stored count in O(1) and [query_box] drains
-   the subtree's leaf chains with no per-point box test. Cost then
-   tracks the visited-node frontier — the Curien–Joseph partial-match
-   regime — instead of the answer's population. Cells are half-open on
-   their high edges (exactly [Box.contains]'s convention, enforced by
-   the [>= mid] distribution rule at every split), so cell ⊆ target
-   reduces to four closed corner compares.
+   range and count walks answer for the subtree without testing a single
+   point: [count_in_box] adds the stored count in O(1) and [query_box]
+   drains the subtree's leaf chains with no per-point box test. Cost
+   then tracks the visited-node frontier — the Curien–Joseph
+   partial-match regime — instead of the answer's population. Cells are
+   half-open on their high edges (exactly [Box.contains]'s convention,
+   enforced by the [>= mid] distribution rule at every split), so
+   cell ⊆ target reduces to four closed corner compares.
 
-   Integer cell descent. For unit-bounds arenas no deeper than the fine
-   Morton resolution — the overwhelmingly common case — the range and
-   count kernels carry cells as fine integer corners [(qx0, qy0)] with
-   a side exponent, materializing the exact dyadic corner floats
-   [k / 2^42] only for the target compares: no [Box.child] record per
-   visited node, and the traversal allocates zero minor words (asserted
-   in test_alloc). Custom bounds or deeper-than-42 arenas take the
-   float-midpoint fallback — same answers, still containment-pruned,
-   one [Probe.arena_query_fallback] warning per process. The two paths
-   compare identical float values: dyadic corners at depth <= 42 are
-   exactly representable, and [Box.child]'s midpoint cascade reproduces
-   them bit for bit, which is what lets the *_visited twins keep the
-   box-descent form and still mirror the fast path's traversal node for
-   node. *)
+   Visit counting. Every node entered counts one: a pruned subtree,
+   whether pruned by disjointness or by containment, costs its root's
+   test and nothing below (the containment drain walks chains, but chain
+   work is answer emission, not traversal cost), so the counts line up
+   with the partial-match exponent the population analysis predicts.
+   The count and nearest walks carry the tally in their int return
+   value — register adds on the way back up, no heap cell touched per
+   node; the range walk, whose value is its answer list, adds into the
+   scratch instead. The caller receives it through an optional
+   caller-owned [cost] scratch, which also tallies containment prunes. *)
 
-(* Squared distance from [(x, y)] to the closed extent of [b]; 0 inside.
-   The clamp form matches [Pr_quadtree.distance_sq_to_box] bit for bit,
-   which the differential suites rely on. *)
-let dist_sq_to_box x y (b : Box.t) =
-  let cx = Float.max b.Box.xmin (Float.min x b.Box.xmax) in
-  let cy = Float.max b.Box.ymin (Float.min y b.Box.ymax) in
-  let dx = x -. cx and dy = y -. cy in
-  (dx *. dx) +. (dy *. dy)
+type cost = { mutable visited : int; mutable pruned : int }
 
-(* Integer descent applies when every cell is a dyadic sub-cell of the
-   unit square no finer than the 2^-42 grid: custom bounds never
-   qualify, and a leaf below depth 42 means some cells are. *)
-let int_descent t = t.unit_bounds && t.height <= bits_fine
+let cost () = { visited = 0; pruned = 0 }
+
+(* Zeroed at kernel entry, before any validation can raise, so a
+   refused query reads as zero cost. *)
+let start_cost = function
+  | Some c ->
+    c.visited <- 0;
+    c.pruned <- 0
+  | None -> ()
+
+let note_visited cost v = match cost with Some c -> c.visited <- v | None -> ()
+
+let note_pruned cost =
+  match cost with Some c -> c.pruned <- c.pruned + 1 | None -> ()
 
 (* Chain folds, threaded tail-recursively so the counting walk builds
    no closure and touches no ref cell. The target travels as the query
@@ -1596,7 +1315,7 @@ let rec filter_chain t (target : Box.t) slot acc =
 
 (* Cons a chain (head to tail) and a whole subtree (children in
    quadrant order NW, NE, SW, SE — pair ids 2, 3, 0, 1) onto [acc]:
-   exactly the accumulation order of the unpruned walk when every point
+   exactly the accumulation order of an unpruned walk when every point
    passes, so pruning never reorders a result list. *)
 let rec drain_chain t slot acc =
   if slot < 0 then acc
@@ -1612,12 +1331,17 @@ let rec drain_subtree t node acc =
     drain_subtree t (base + 1) acc
   end
 
-(* The integer-descent counting walk. [shift] is the cell's side
-   exponent on the fine grid (root: [bits_fine]); a child halves the
-   side and offsets its corner by [hs]. Disjointness and containment
-   are the same predicates the box walk tests, on bit-identical corner
-   values. *)
-let rec count_int t (target : Box.t) node qx0 qy0 shift acc =
+(* The count walk returns both of its tallies in one int, so neither
+   needs a heap cell: the visited-node count in the low [visit_bits]
+   bits, the answer count above them. Packed words add field by field
+   while the visit field does not carry (fewer than 2^31 nodes visited,
+   past any node table that fits in memory); the sum wraps modulo 2^63
+   and [lsr] reads the high field unsigned, so counts are exact up to
+   2^32 - 1 points. *)
+let visit_bits = 31
+let visit_mask = (1 lsl visit_bits) - 1
+
+let rec count_walk t (target : Box.t) cost node qx0 qy0 shift =
   let side = 1 lsl shift in
   let x0 = float_of_int qx0 *. inv_fine_scale
   and y0 = float_of_int qy0 *. inv_fine_scale
@@ -1626,26 +1350,44 @@ let rec count_int t (target : Box.t) node qx0 qy0 shift acc =
   if
     x0 >= target.Box.xmax || target.Box.xmin >= x1 || y0 >= target.Box.ymax
     || target.Box.ymin >= y1
-  then acc (* disjoint *)
+  then 1 (* disjoint *)
   else if
     target.Box.xmin <= x0 && x1 <= target.Box.xmax && target.Box.ymin <= y0
     && y1 <= target.Box.ymax
-  then acc + t.count.(node) (* contained: the whole subtree in O(1) *)
+  then begin
+    (* contained: the whole subtree in O(1) *)
+    note_pruned cost;
+    1 + (t.count.(node) lsl visit_bits)
+  end
   else begin
     let base = t.child.(node) in
-    if base < 0 then count_chain t target t.head.(node) acc
+    if base < 0 then 1 + (count_chain t target t.head.(node) 0 lsl visit_bits)
     else begin
       let h = shift - 1 in
       let hs = 1 lsl h in
-      let acc = count_int t target (base + 2) qx0 (qy0 + hs) h acc in
-      let acc = count_int t target (base + 3) (qx0 + hs) (qy0 + hs) h acc in
-      let acc = count_int t target (base + 0) qx0 qy0 h acc in
-      count_int t target (base + 1) (qx0 + hs) qy0 h acc
+      let v = count_walk t target cost (base + 2) qx0 (qy0 + hs) h in
+      let v = v + count_walk t target cost (base + 3) (qx0 + hs) (qy0 + hs) h in
+      let v = v + count_walk t target cost (base + 0) qx0 qy0 h in
+      1 + v + count_walk t target cost (base + 1) (qx0 + hs) qy0 h
     end
   end
 
-(* The integer-descent range walk: same traversal, consing hits. *)
-let rec range_int t (target : Box.t) node qx0 qy0 shift acc =
+let count_in_box ?cost t target =
+  start_cost cost;
+  let packed = count_walk t target cost 0 0 0 bits_fine in
+  note_visited cost (packed land visit_mask);
+  packed lsr visit_bits
+
+(* The range walk: the same traversal, threading the answer list, which
+   is consed in the quadrant order of {!Pr_quadtree.query_box}'s
+   unpruned walk — the result is element for element the one that walk
+   returns on the frozen tree. The list must be the recursion's value:
+   kept in a ref cell instead, a large answer ran ~40% slower. So the
+   visit tally goes to the caller's scratch, one increment per node,
+   and only when one is given; against the points it conses that is
+   noise. *)
+let rec range_walk t (target : Box.t) cost node qx0 qy0 shift acc =
+  (match cost with Some c -> c.visited <- c.visited + 1 | None -> ());
   let side = 1 lsl shift in
   let x0 = float_of_int qx0 *. inv_fine_scale
   and y0 = float_of_int qy0 *. inv_fine_scale
@@ -1658,421 +1400,165 @@ let rec range_int t (target : Box.t) node qx0 qy0 shift acc =
   else if
     target.Box.xmin <= x0 && x1 <= target.Box.xmax && target.Box.ymin <= y0
     && y1 <= target.Box.ymax
-  then drain_subtree t node acc
+  then begin
+    note_pruned cost;
+    drain_subtree t node acc
+  end
   else begin
     let base = t.child.(node) in
     if base < 0 then filter_chain t target t.head.(node) acc
     else begin
       let h = shift - 1 in
       let hs = 1 lsl h in
-      let acc = range_int t target (base + 2) qx0 (qy0 + hs) h acc in
-      let acc = range_int t target (base + 3) (qx0 + hs) (qy0 + hs) h acc in
-      let acc = range_int t target (base + 0) qx0 qy0 h acc in
-      range_int t target (base + 1) (qx0 + hs) qy0 h acc
+      let acc = range_walk t target cost (base + 2) qx0 (qy0 + hs) h acc in
+      let acc =
+        range_walk t target cost (base + 3) (qx0 + hs) (qy0 + hs) h acc
+      in
+      let acc = range_walk t target cost (base + 0) qx0 qy0 h acc in
+      range_walk t target cost (base + 1) (qx0 + hs) qy0 h acc
     end
   end
 
-(* [cell ⊆ target] on float corners, for the fallback and *_visited
-   walks: sound for closed corner compares because every cell owns its
-   low edges and excludes its high ones. *)
-let box_contains_cell (target : Box.t) (cell : Box.t) =
-  target.Box.xmin <= cell.Box.xmin
-  && cell.Box.xmax <= target.Box.xmax
-  && target.Box.ymin <= cell.Box.ymin
-  && cell.Box.ymax <= target.Box.ymax
+let query_box ?cost t target =
+  start_cost cost;
+  range_walk t target cost 0 0 0 bits_fine []
 
-(* Float-midpoint fallbacks (custom bounds, or arenas split below the
-   fine grid): [Box.child] descent, still containment-pruned, same
-   answers as the integer walks where both apply. *)
-let count_float_pruned t target =
-  let acc = ref 0 in
-  let rec go node ~box =
-    if Box.intersects box target then
-      if box_contains_cell target box then acc := !acc + t.count.(node)
-      else begin
-        let base = t.child.(node) in
-        if base < 0 then acc := count_chain t target t.head.(node) !acc
-        else
-          for q = 0 to 3 do
-            go (base + quad_pair.(q)) ~box:(Box.child box (Quadrant.of_index q))
-          done
-      end
-  in
-  go 0 ~box:t.bounds;
-  !acc
-
-let range_float_pruned t target =
-  let acc = ref [] in
-  let rec go node ~box =
-    if Box.intersects box target then
-      if box_contains_cell target box then acc := drain_subtree t node !acc
-      else begin
-        let base = t.child.(node) in
-        if base < 0 then acc := filter_chain t target t.head.(node) !acc
-        else
-          for q = 0 to 3 do
-            go (base + quad_pair.(q)) ~box:(Box.child box (Quadrant.of_index q))
-          done
-      end
-  in
-  go 0 ~box:t.bounds;
-  !acc
-
-let count_in_box t target =
-  if int_descent t then count_int t target 0 0 0 bits_fine 0
-  else begin
-    Probe.arena_query_fallback ();
-    count_float_pruned t target
-  end
-
-let query_box t target =
-  if int_descent t then range_int t target 0 0 0 bits_fine []
-  else begin
-    Probe.arena_query_fallback ();
-    range_float_pruned t target
-  end
-
-(* The pre-pruning kernels, kept callable for the ablation benches and
-   the pruned-visits-is-monotone property: every node whose cell meets
-   the target is entered and every chained point is tested. *)
-let count_in_box_unpruned t target =
-  let xmin = target.Box.xmin and xmax = target.Box.xmax in
-  let ymin = target.Box.ymin and ymax = target.Box.ymax in
-  let acc = ref 0 in
-  let rec go node ~box =
-    if Box.intersects box target then begin
-      let base = t.child.(node) in
-      if base < 0 then begin
-        let slot = ref t.head.(node) in
-        while !slot >= 0 do
-          let s = !slot in
-          let x = t.xs.{s} and y = t.ys.{s} in
-          if x >= xmin && x < xmax && y >= ymin && y < ymax then incr acc;
-          slot := t.next.{s}
-        done
-      end
-      else
-        for q = 0 to 3 do
-          go (base + quad_pair.(q)) ~box:(Box.child box (Quadrant.of_index q))
-        done
+(* The best-first descent shared by [nearest] and [k_nearest]. [q] is
+   the query's flat float scratch [| px; py; r2; ... |] — reads from it
+   stay unboxed, where float arguments would box at every call (this
+   compiler is not flambda) — and r2 is the squared pruning radius,
+   which [scan] (the leaf visitor) shrinks as candidates turn up. A node
+   is entered only while its clamp distance (the form of
+   [Pr_quadtree.distance_sq_to_box], bit for bit) is below r2. Children
+   are visited closest first, ties in quadrant order: each quadrant's
+   rank is how many quadrants sort strictly before it, and the
+   permutation packs into one int, two bits per rank — no per-node
+   scratch array. Child distances are written out inline in quadrant
+   order NW, NE, SW, SE; a float-argument helper would box per node. *)
+let rec near_walk t (q : float array) scan node qx0 qy0 shift =
+  let px = q.(0) and py = q.(1) in
+  let side = 1 lsl shift in
+  let x0 = float_of_int qx0 *. inv_fine_scale
+  and y0 = float_of_int qy0 *. inv_fine_scale
+  and x1 = float_of_int (qx0 + side) *. inv_fine_scale
+  and y1 = float_of_int (qy0 + side) *. inv_fine_scale in
+  let cx = if px < x0 then x0 else if px > x1 then x1 else px in
+  let cy = if py < y0 then y0 else if py > y1 then y1 else py in
+  let dx = px -. cx and dy = py -. cy in
+  if (dx *. dx) +. (dy *. dy) < q.(2) then begin
+    let base = t.child.(node) in
+    if base < 0 then begin
+      scan node;
+      1
     end
-  in
-  go 0 ~box:t.bounds;
-  !acc
-
-let query_box_unpruned t target =
-  let xmin = target.Box.xmin and xmax = target.Box.xmax in
-  let ymin = target.Box.ymin and ymax = target.Box.ymax in
-  let acc = ref [] in
-  let rec go node ~box =
-    if Box.intersects box target then begin
-      let base = t.child.(node) in
-      if base < 0 then begin
-        let slot = ref t.head.(node) in
-        while !slot >= 0 do
-          let s = !slot in
-          let x = t.xs.{s} and y = t.ys.{s} in
-          if x >= xmin && x < xmax && y >= ymin && y < ymax then
-            acc := Point.make x y :: !acc;
-          slot := t.next.{s}
-        done
-      end
-      else
-        for q = 0 to 3 do
-          go (base + quad_pair.(q)) ~box:(Box.child box (Quadrant.of_index q))
-        done
+    else begin
+      let h = shift - 1 in
+      let hs = 1 lsl h in
+      let xm = float_of_int (qx0 + hs) *. inv_fine_scale
+      and ym = float_of_int (qy0 + hs) *. inv_fine_scale in
+      let d0 =
+        let cx = if px < x0 then x0 else if px > xm then xm else px
+        and cy = if py < ym then ym else if py > y1 then y1 else py in
+        let dx = px -. cx and dy = py -. cy in
+        (dx *. dx) +. (dy *. dy)
+      in
+      let d1 =
+        let cx = if px < xm then xm else if px > x1 then x1 else px
+        and cy = if py < ym then ym else if py > y1 then y1 else py in
+        let dx = px -. cx and dy = py -. cy in
+        (dx *. dx) +. (dy *. dy)
+      in
+      let d2 =
+        let cx = if px < x0 then x0 else if px > xm then xm else px
+        and cy = if py < y0 then y0 else if py > ym then ym else py in
+        let dx = px -. cx and dy = py -. cy in
+        (dx *. dx) +. (dy *. dy)
+      in
+      let d3 =
+        let cx = if px < xm then xm else if px > x1 then x1 else px
+        and cy = if py < y0 then y0 else if py > ym then ym else py in
+        let dx = px -. cx and dy = py -. cy in
+        (dx *. dx) +. (dy *. dy)
+      in
+      let r0 =
+        (if d1 < d0 then 1 else 0)
+        + (if d2 < d0 then 1 else 0)
+        + if d3 < d0 then 1 else 0
+      in
+      let r1 =
+        (if d0 <= d1 then 1 else 0)
+        + (if d2 < d1 then 1 else 0)
+        + if d3 < d1 then 1 else 0
+      in
+      let r2 =
+        (if d0 <= d2 then 1 else 0)
+        + (if d1 <= d2 then 1 else 0)
+        + if d3 < d2 then 1 else 0
+      in
+      let r3 =
+        (if d0 <= d3 then 1 else 0)
+        + (if d1 <= d3 then 1 else 0)
+        + if d2 <= d3 then 1 else 0
+      in
+      let perm =
+        (0 lsl (2 * r0)) lor (1 lsl (2 * r1)) lor (2 lsl (2 * r2))
+        lor (3 lsl (2 * r3))
+      in
+      let v = ref 1 in
+      for i = 0 to 3 do
+        v :=
+          !v
+          + (match (perm lsr (2 * i)) land 3 with
+            | 0 -> near_walk t q scan (base + 2) qx0 (qy0 + hs) h
+            | 1 -> near_walk t q scan (base + 3) (qx0 + hs) (qy0 + hs) h
+            | 2 -> near_walk t q scan (base + 0) qx0 qy0 h
+            | _ -> near_walk t q scan (base + 1) (qx0 + hs) qy0 h)
+      done;
+      !v
     end
-  in
-  go 0 ~box:t.bounds;
-  !acc
-
-(* [count_in_box] that also counts nodes touched (a pruned subtree —
-   disjoint or contained — costs exactly its root's test, nothing
-   below) — the observable for the Curien–Joseph partial-match cost
-   exponent, which predicts the visited-node count of a degenerate
-   range query (a full-height strip) to grow as n^((sqrt 17 - 3) / 2).
-   A separate copy of the kernel, so the instrumentation (visit tally,
-   [Probe.serve_pruned_subtrees]) stays off the uninstrumented kernels
-   entirely; both descents — integer fast path and float fallback —
-   are carried, with corner values bit-identical between them, so the
-   visit count mirrors the plain kernel's traversal exactly. *)
-let count_in_box_visited t target =
-  (* Pruning events tally locally and flush once per query: a
-     per-event probe would put a sharded-counter increment inside the
-     descent. *)
-  let pruned = ref 0 in
-  if int_descent t then begin
-    (* The visit tally rides the return value — register adds on the
-       way back up — while the running count lives in a ref touched
-       only at contained subtrees and boundary leaves. A per-node
-       [incr] on a heap cell was the twins' largest remaining cost
-       against the telemetry overhead bar: a large-box count visits
-       hundreds of nodes, each paying a load/add/store. *)
-    let count = ref 0 in
-    let rec go node qx0 qy0 shift =
-      let side = 1 lsl shift in
-      let x0 = float_of_int qx0 *. inv_fine_scale
-      and y0 = float_of_int qy0 *. inv_fine_scale
-      and x1 = float_of_int (qx0 + side) *. inv_fine_scale
-      and y1 = float_of_int (qy0 + side) *. inv_fine_scale in
-      if
-        x0 >= target.Box.xmax || target.Box.xmin >= x1
-        || y0 >= target.Box.ymax || target.Box.ymin >= y1
-      then 1
-      else if
-        target.Box.xmin <= x0 && x1 <= target.Box.xmax
-        && target.Box.ymin <= y0 && y1 <= target.Box.ymax
-      then begin
-        incr pruned;
-        count := !count + t.count.(node);
-        1
-      end
-      else begin
-        let base = t.child.(node) in
-        if base < 0 then begin
-          count := count_chain t target t.head.(node) !count;
-          1
-        end
-        else begin
-          let h = shift - 1 in
-          let hs = 1 lsl h in
-          let v = go (base + 2) qx0 (qy0 + hs) h in
-          let v = v + go (base + 3) (qx0 + hs) (qy0 + hs) h in
-          let v = v + go (base + 0) qx0 qy0 h in
-          1 + v + go (base + 1) (qx0 + hs) qy0 h
-        end
-      end
-    in
-    let visited = go 0 0 0 bits_fine in
-    Probe.serve_pruned_subtrees !pruned;
-    (!count, visited)
   end
-  else begin
-    Probe.arena_query_fallback ();
-    let visited = ref 0 in
-    let acc = ref 0 in
-    let rec go node ~box =
-      incr visited;
-      if Box.intersects box target then
-        if box_contains_cell target box then begin
-          incr pruned;
-          acc := !acc + t.count.(node)
-        end
-        else begin
-          let base = t.child.(node) in
-          if base < 0 then acc := count_chain t target t.head.(node) !acc
-          else
-            for q = 0 to 3 do
-              go
-                (base + quad_pair.(q))
-                ~box:(Box.child box (Quadrant.of_index q))
-            done
-        end
-    in
-    go 0 ~box:t.bounds;
-    Probe.serve_pruned_subtrees !pruned;
-    (!acc, !visited)
-  end
+  else 1
 
-(* The unpruned visit counter, for the monotonicity property (pruned
-   visits <= unpruned visits on every box) and the with/without
-   exponent ablation. *)
-let count_in_box_unpruned_visited t target =
-  let xmin = target.Box.xmin and xmax = target.Box.xmax in
-  let ymin = target.Box.ymin and ymax = target.Box.ymax in
-  let acc = ref 0 in
-  let visited = ref 0 in
-  let rec go node ~box =
-    incr visited;
-    if Box.intersects box target then begin
-      let base = t.child.(node) in
-      if base < 0 then begin
-        let slot = ref t.head.(node) in
-        while !slot >= 0 do
-          let s = !slot in
-          let x = t.xs.{s} and y = t.ys.{s} in
-          if x >= xmin && x < xmax && y >= ymin && y < ymax then incr acc;
-          slot := t.next.{s}
-        done
-      end
-      else
-        for q = 0 to 3 do
-          go (base + quad_pair.(q)) ~box:(Box.child box (Quadrant.of_index q))
-        done
-    end
-  in
-  go 0 ~box:t.bounds;
-  (!acc, !visited)
-
-(* Rank a node's four children by box distance, closest first, ties by
-   child order. Insertion sort over index pairs packed as locals. Used
-   only by the *_visited twins and the float fallback, where the two
-   4-cell arrays per internal node are tolerable; the hot nearest /
-   k-NN path packs the same ranking into one int (below) and allocates
-   nothing. The arrays stay local so concurrent queries never share
-   scratch. *)
-let ranked_children px py ~box =
-  let boxes = Array.init 4 (fun q -> Box.child box (Quadrant.of_index q)) in
-  let order = [| 0; 1; 2; 3 |] in
-  let dist q = dist_sq_to_box px py boxes.(q) in
-  for i = 1 to 3 do
-    let v = order.(i) in
-    let dv = dist v in
-    let j = ref (i - 1) in
-    while !j >= 0 && dist order.(!j) > dv do
-      order.(!j + 1) <- order.(!j);
-      decr j
-    done;
-    order.(!j + 1) <- v
-  done;
-  (order, boxes)
-
-(* rank4 — the allocation-free twin of [ranked_children], written out
-   inline at each use instead of defined as a function: four float
-   arguments crossing a non-inlined call boundary box on every internal
-   node visited (this compiler is not flambda). Each quadrant's rank is
-   how many quadrants sort strictly before it (distance, ties by
-   quadrant index — exactly the stable insertion sort's order), and the
-   permutation packs into one int, two bits per rank; decode with
-   [(perm lsr (2 * i)) land 3] for visit position [i]. The copies in
-   [nearest], [k_nearest] and their [_visited] twins must stay in
-   sync. *)
-
-let nearest t (p : Point.t) =
+let nearest ?cost t (p : Point.t) =
+  start_cost cost;
   if t.size = 0 then None
   else begin
-    let px = p.Point.x and py = p.Point.y in
-    (* Best-so-far state lives in a flat float array — unboxed writes —
-       because a [float ref] boxes a fresh float on every [:=]. Layout:
-       [| best distance²; best x; best y |]. *)
-    let best = [| Float.infinity; 0.0; 0.0 |] in
-    let found = ref false in
-    let scan_chain node =
+    (* [| px; py; best distance²; best x; best y |]: a flat float array
+       takes unboxed writes, where a [float ref] boxes a fresh float on
+       every [:=]. *)
+    let q = [| p.Point.x; p.Point.y; Float.infinity; 0.0; 0.0 |] in
+    let scan node =
+      let px = q.(0) and py = q.(1) in
       let slot = ref t.head.(node) in
       while !slot >= 0 do
         let s = !slot in
         let x = t.xs.{s} and y = t.ys.{s} in
         let dx = x -. px and dy = y -. py in
         let d = (dx *. dx) +. (dy *. dy) in
-        if d < best.(0) then begin
-          best.(0) <- d;
-          best.(1) <- x;
-          best.(2) <- y;
-          found := true
+        if d < q.(2) then begin
+          q.(2) <- d;
+          q.(3) <- x;
+          q.(4) <- y
         end;
         slot := t.next.{s}
       done
     in
-    (* Integer descent: cells as fine corners, the clamp of
-       [dist_sq_to_box] written out on exact dyadic corner floats (a
-       float-argument helper would box at every call). Child distances
-       are computed inline in quadrant order NW, NE, SW, SE. *)
-    let rec go_int node qx0 qy0 shift =
-      let side = 1 lsl shift in
-      let x0 = float_of_int qx0 *. inv_fine_scale
-      and y0 = float_of_int qy0 *. inv_fine_scale
-      and x1 = float_of_int (qx0 + side) *. inv_fine_scale
-      and y1 = float_of_int (qy0 + side) *. inv_fine_scale in
-      let cx = if px < x0 then x0 else if px > x1 then x1 else px in
-      let cy = if py < y0 then y0 else if py > y1 then y1 else py in
-      let dx = px -. cx and dy = py -. cy in
-      if (dx *. dx) +. (dy *. dy) < best.(0) then begin
-        let base = t.child.(node) in
-        if base < 0 then scan_chain node
-        else begin
-          let h = shift - 1 in
-          let hs = 1 lsl h in
-          let xm = float_of_int (qx0 + hs) *. inv_fine_scale
-          and ym = float_of_int (qy0 + hs) *. inv_fine_scale in
-          let d0 =
-            let cx = if px < x0 then x0 else if px > xm then xm else px
-            and cy = if py < ym then ym else if py > y1 then y1 else py in
-            let dx = px -. cx and dy = py -. cy in
-            (dx *. dx) +. (dy *. dy)
-          in
-          let d1 =
-            let cx = if px < xm then xm else if px > x1 then x1 else px
-            and cy = if py < ym then ym else if py > y1 then y1 else py in
-            let dx = px -. cx and dy = py -. cy in
-            (dx *. dx) +. (dy *. dy)
-          in
-          let d2 =
-            let cx = if px < x0 then x0 else if px > xm then xm else px
-            and cy = if py < y0 then y0 else if py > ym then ym else py in
-            let dx = px -. cx and dy = py -. cy in
-            (dx *. dx) +. (dy *. dy)
-          in
-          let d3 =
-            let cx = if px < xm then xm else if px > x1 then x1 else px
-            and cy = if py < y0 then y0 else if py > ym then ym else py in
-            let dx = px -. cx and dy = py -. cy in
-            (dx *. dx) +. (dy *. dy)
-          in
-          (* rank4, written out inline: see its comment — a float
-             argument crossing a non-inlined call boxes per node. *)
-          let r0 =
-            (if d1 < d0 then 1 else 0)
-            + (if d2 < d0 then 1 else 0)
-            + if d3 < d0 then 1 else 0
-          in
-          let r1 =
-            (if d0 <= d1 then 1 else 0)
-            + (if d2 < d1 then 1 else 0)
-            + if d3 < d1 then 1 else 0
-          in
-          let r2 =
-            (if d0 <= d2 then 1 else 0)
-            + (if d1 <= d2 then 1 else 0)
-            + if d3 < d2 then 1 else 0
-          in
-          let r3 =
-            (if d0 <= d3 then 1 else 0)
-            + (if d1 <= d3 then 1 else 0)
-            + if d2 <= d3 then 1 else 0
-          in
-          let perm =
-            (0 lsl (2 * r0)) lor (1 lsl (2 * r1)) lor (2 lsl (2 * r2))
-            lor (3 lsl (2 * r3))
-          in
-          for i = 0 to 3 do
-            match (perm lsr (2 * i)) land 3 with
-            | 0 -> go_int (base + 2) qx0 (qy0 + hs) h
-            | 1 -> go_int (base + 3) (qx0 + hs) (qy0 + hs) h
-            | 2 -> go_int (base + 0) qx0 qy0 h
-            | _ -> go_int (base + 1) (qx0 + hs) qy0 h
-          done
-        end
-      end
-    in
-    let rec go_float node ~box =
-      if dist_sq_to_box px py box < best.(0) then begin
-        let base = t.child.(node) in
-        if base < 0 then scan_chain node
-        else begin
-          let order, boxes = ranked_children px py ~box in
-          for i = 0 to 3 do
-            let q = order.(i) in
-            go_float (base + quad_pair.(q)) ~box:boxes.(q)
-          done
-        end
-      end
-    in
-    if int_descent t then go_int 0 0 0 bits_fine
-    else begin
-      Probe.arena_query_fallback ();
-      go_float 0 ~box:t.bounds
-    end;
-    if !found then Some (Point.make best.(1) best.(2)) else None
+    note_visited cost (near_walk t q scan 0 0 0 bits_fine);
+    if q.(2) < Float.infinity then Some (Point.make q.(3) q.(4)) else None
   end
 
-let k_nearest t k (p : Point.t) =
+let k_nearest ?cost t k (p : Point.t) =
+  start_cost cost;
   if k < 0 then invalid_arg "Pr_arena.k_nearest: k < 0";
   if k = 0 || t.size = 0 then []
   else begin
-    let px = p.Point.x and py = p.Point.y in
-    (* The same shared bounded collector as [Pr_quadtree.k_nearest]. *)
+    (* The same shared bounded collector as [Pr_quadtree.k_nearest]; its
+       worst distance is the pruning radius, mirrored into [q.(2)] after
+       every leaf. *)
     let nbrs = Pqueue.Neighbors.create k in
-    let scan_chain node =
+    let q = [| p.Point.x; p.Point.y; Pqueue.Neighbors.worst nbrs |] in
+    let scan node =
+      let px = q.(0) and py = q.(1) in
       let slot = ref t.head.(node) in
       while !slot >= 0 do
         let s = !slot in
@@ -2082,108 +1568,18 @@ let k_nearest t k (p : Point.t) =
         if d < Pqueue.Neighbors.worst nbrs then
           Pqueue.Neighbors.offer nbrs ~dist:d (Point.make x y);
         slot := t.next.{s}
-      done
+      done;
+      q.(2) <- Pqueue.Neighbors.worst nbrs
     in
-    let rec go_int node qx0 qy0 shift =
-      let side = 1 lsl shift in
-      let x0 = float_of_int qx0 *. inv_fine_scale
-      and y0 = float_of_int qy0 *. inv_fine_scale
-      and x1 = float_of_int (qx0 + side) *. inv_fine_scale
-      and y1 = float_of_int (qy0 + side) *. inv_fine_scale in
-      let cx = if px < x0 then x0 else if px > x1 then x1 else px in
-      let cy = if py < y0 then y0 else if py > y1 then y1 else py in
-      let dx = px -. cx and dy = py -. cy in
-      if (dx *. dx) +. (dy *. dy) < Pqueue.Neighbors.worst nbrs then begin
-        let base = t.child.(node) in
-        if base < 0 then scan_chain node
-        else begin
-          let h = shift - 1 in
-          let hs = 1 lsl h in
-          let xm = float_of_int (qx0 + hs) *. inv_fine_scale
-          and ym = float_of_int (qy0 + hs) *. inv_fine_scale in
-          let d0 =
-            let cx = if px < x0 then x0 else if px > xm then xm else px
-            and cy = if py < ym then ym else if py > y1 then y1 else py in
-            let dx = px -. cx and dy = py -. cy in
-            (dx *. dx) +. (dy *. dy)
-          in
-          let d1 =
-            let cx = if px < xm then xm else if px > x1 then x1 else px
-            and cy = if py < ym then ym else if py > y1 then y1 else py in
-            let dx = px -. cx and dy = py -. cy in
-            (dx *. dx) +. (dy *. dy)
-          in
-          let d2 =
-            let cx = if px < x0 then x0 else if px > xm then xm else px
-            and cy = if py < y0 then y0 else if py > ym then ym else py in
-            let dx = px -. cx and dy = py -. cy in
-            (dx *. dx) +. (dy *. dy)
-          in
-          let d3 =
-            let cx = if px < xm then xm else if px > x1 then x1 else px
-            and cy = if py < y0 then y0 else if py > ym then ym else py in
-            let dx = px -. cx and dy = py -. cy in
-            (dx *. dx) +. (dy *. dy)
-          in
-          (* rank4, written out inline: see its comment — a float
-             argument crossing a non-inlined call boxes per node. *)
-          let r0 =
-            (if d1 < d0 then 1 else 0)
-            + (if d2 < d0 then 1 else 0)
-            + if d3 < d0 then 1 else 0
-          in
-          let r1 =
-            (if d0 <= d1 then 1 else 0)
-            + (if d2 < d1 then 1 else 0)
-            + if d3 < d1 then 1 else 0
-          in
-          let r2 =
-            (if d0 <= d2 then 1 else 0)
-            + (if d1 <= d2 then 1 else 0)
-            + if d3 < d2 then 1 else 0
-          in
-          let r3 =
-            (if d0 <= d3 then 1 else 0)
-            + (if d1 <= d3 then 1 else 0)
-            + if d2 <= d3 then 1 else 0
-          in
-          let perm =
-            (0 lsl (2 * r0)) lor (1 lsl (2 * r1)) lor (2 lsl (2 * r2))
-            lor (3 lsl (2 * r3))
-          in
-          for i = 0 to 3 do
-            match (perm lsr (2 * i)) land 3 with
-            | 0 -> go_int (base + 2) qx0 (qy0 + hs) h
-            | 1 -> go_int (base + 3) (qx0 + hs) (qy0 + hs) h
-            | 2 -> go_int (base + 0) qx0 qy0 h
-            | _ -> go_int (base + 1) (qx0 + hs) qy0 h
-          done
-        end
-      end
-    in
-    let rec go_float node ~box =
-      if dist_sq_to_box px py box < Pqueue.Neighbors.worst nbrs then begin
-        let base = t.child.(node) in
-        if base < 0 then scan_chain node
-        else begin
-          let order, boxes = ranked_children px py ~box in
-          for i = 0 to 3 do
-            let q = order.(i) in
-            go_float (base + quad_pair.(q)) ~box:boxes.(q)
-          done
-        end
-      end
-    in
-    if int_descent t then go_int 0 0 0 bits_fine
-    else begin
-      Probe.arena_query_fallback ();
-      go_float 0 ~box:t.bounds
-    end;
+    note_visited cost (near_walk t q scan 0 0 0 bits_fine);
     Pqueue.Neighbors.drain_nearest nbrs
   end
 
-let cell_at t (p : Point.t) =
-  if not (Box.contains t.bounds p) then
+(* A point descent enters one node per level: the root-to-leaf path of
+   [depth] internal steps visits [depth + 1] nodes. *)
+let cell_at ?cost t (p : Point.t) =
+  start_cost cost;
+  if not (Point.in_unit_square p) then
     invalid_arg "Pr_arena.cell_at: point outside bounds";
   let rec go node ~depth ~box =
     let base = t.child.(node) in
@@ -2195,11 +1591,12 @@ let cell_at t (p : Point.t) =
         ~depth:(depth + 1) ~box:(Box.child box q)
     end
   in
-  let depth, box, node = go 0 ~depth:0 ~box:t.bounds in
+  let depth, box, node = go 0 ~depth:0 ~box:Box.unit in
+  note_visited cost (depth + 1);
   (depth, box, leaf_points t node)
 
 let mem t (p : Point.t) =
-  Box.contains t.bounds p
+  Point.in_unit_square p
   && begin
     let rec go node ~box =
       let base = t.child.(node) in
@@ -2216,374 +1613,8 @@ let mem t (p : Point.t) =
         go (base + quad_pair.(Quadrant.to_index q)) ~box:(Box.child box q)
       end
     in
-    go 0 ~box:t.bounds
+    go 0 ~box:Box.unit
   end
-
-(* Visited-counting duplicates of the query kernels, for the serving
-   layer's per-query telemetry. Same cost accounting as
-   [count_in_box_visited]: every node entered counts one — a pruned
-   subtree, whether pruned by disjointness or by containment, costs its
-   root's test and nothing below (the containment drain walks chains,
-   but chain work is answer emission, not traversal cost) — so the
-   counts line up with the partial-match exponent the population
-   analysis predicts. Kept as separate copies rather than a counter
-   threaded through the plain kernels, so the uninstrumented hot path
-   keeps its exact instruction stream. Each twin carries the same two
-   descents as its plain kernel — the integer fast path and the float
-   fallback — because telemetry must stay within 10% of the plain
-   batch: a box-descent-only twin was measured at more than 2x the
-   integer kernels, which would price the *instrumentation* at the cost
-   of the slower *traversal*. The corner floats are bit-identical
-   between the descents, so the visit counts are too. On the integer
-   descents the tally itself rides the recursion's return value — pure
-   register adds on the way back up — because at hundreds of visited
-   nodes per large query, even one heap-cell [incr] per node was
-   measurable against the telemetry overhead bar. *)
-
-let query_box_visited t target =
-  let pruned = ref 0 in
-  if int_descent t then begin
-    (* Visit tally in the return value, answer points in a ref touched
-       only where points are emitted — same shape (and reason) as
-       [count_in_box_visited]. The ref updates happen in the same
-       traversal order the threaded accumulator did, so the result
-       list is unchanged. *)
-    let pts = ref [] in
-    let rec go node qx0 qy0 shift =
-      let side = 1 lsl shift in
-      let x0 = float_of_int qx0 *. inv_fine_scale
-      and y0 = float_of_int qy0 *. inv_fine_scale
-      and x1 = float_of_int (qx0 + side) *. inv_fine_scale
-      and y1 = float_of_int (qy0 + side) *. inv_fine_scale in
-      if
-        x0 >= target.Box.xmax || target.Box.xmin >= x1
-        || y0 >= target.Box.ymax || target.Box.ymin >= y1
-      then 1
-      else if
-        target.Box.xmin <= x0 && x1 <= target.Box.xmax
-        && target.Box.ymin <= y0 && y1 <= target.Box.ymax
-      then begin
-        incr pruned;
-        pts := drain_subtree t node !pts;
-        1
-      end
-      else begin
-        let base = t.child.(node) in
-        if base < 0 then begin
-          pts := filter_chain t target t.head.(node) !pts;
-          1
-        end
-        else begin
-          let h = shift - 1 in
-          let hs = 1 lsl h in
-          let v = go (base + 2) qx0 (qy0 + hs) h in
-          let v = v + go (base + 3) (qx0 + hs) (qy0 + hs) h in
-          let v = v + go (base + 0) qx0 qy0 h in
-          1 + v + go (base + 1) (qx0 + hs) qy0 h
-        end
-      end
-    in
-    let visited = go 0 0 0 bits_fine in
-    Probe.serve_pruned_subtrees !pruned;
-    (!pts, visited)
-  end
-  else begin
-    Probe.arena_query_fallback ();
-    let visited = ref 0 in
-    let acc = ref [] in
-    let rec go node ~box =
-      incr visited;
-      if Box.intersects box target then
-        if box_contains_cell target box then begin
-          incr pruned;
-          acc := drain_subtree t node !acc
-        end
-        else begin
-          let base = t.child.(node) in
-          if base < 0 then acc := filter_chain t target t.head.(node) !acc
-          else
-            for q = 0 to 3 do
-              go
-                (base + quad_pair.(q))
-                ~box:(Box.child box (Quadrant.of_index q))
-            done
-        end
-    in
-    go 0 ~box:t.bounds;
-    Probe.serve_pruned_subtrees !pruned;
-    (!acc, !visited)
-  end
-
-let nearest_visited t (p : Point.t) =
-  if t.size = 0 then (None, 0)
-  else begin
-    let px = p.Point.x and py = p.Point.y in
-    let best = [| Float.infinity; 0.0; 0.0 |] in
-    let found = ref false in
-    (* Fallback-path tally only; the integer descent returns its visit
-       count (see [count_in_box_visited] for why). *)
-    let visited = ref 0 in
-    let scan_chain node =
-      let slot = ref t.head.(node) in
-      while !slot >= 0 do
-        let s = !slot in
-        let x = t.xs.{s} and y = t.ys.{s} in
-        let dx = x -. px and dy = y -. py in
-        let d = (dx *. dx) +. (dy *. dy) in
-        if d < best.(0) then begin
-          best.(0) <- d;
-          best.(1) <- x;
-          best.(2) <- y;
-          found := true
-        end;
-        slot := t.next.{s}
-      done
-    in
-    let rec go_int node qx0 qy0 shift =
-      let side = 1 lsl shift in
-      let x0 = float_of_int qx0 *. inv_fine_scale
-      and y0 = float_of_int qy0 *. inv_fine_scale
-      and x1 = float_of_int (qx0 + side) *. inv_fine_scale
-      and y1 = float_of_int (qy0 + side) *. inv_fine_scale in
-      let cx = if px < x0 then x0 else if px > x1 then x1 else px in
-      let cy = if py < y0 then y0 else if py > y1 then y1 else py in
-      let dx = px -. cx and dy = py -. cy in
-      if (dx *. dx) +. (dy *. dy) < best.(0) then begin
-        let base = t.child.(node) in
-        if base < 0 then begin
-          scan_chain node;
-          1
-        end
-        else begin
-          let h = shift - 1 in
-          let hs = 1 lsl h in
-          let xm = float_of_int (qx0 + hs) *. inv_fine_scale
-          and ym = float_of_int (qy0 + hs) *. inv_fine_scale in
-          let d0 =
-            let cx = if px < x0 then x0 else if px > xm then xm else px
-            and cy = if py < ym then ym else if py > y1 then y1 else py in
-            let dx = px -. cx and dy = py -. cy in
-            (dx *. dx) +. (dy *. dy)
-          in
-          let d1 =
-            let cx = if px < xm then xm else if px > x1 then x1 else px
-            and cy = if py < ym then ym else if py > y1 then y1 else py in
-            let dx = px -. cx and dy = py -. cy in
-            (dx *. dx) +. (dy *. dy)
-          in
-          let d2 =
-            let cx = if px < x0 then x0 else if px > xm then xm else px
-            and cy = if py < y0 then y0 else if py > ym then ym else py in
-            let dx = px -. cx and dy = py -. cy in
-            (dx *. dx) +. (dy *. dy)
-          in
-          let d3 =
-            let cx = if px < xm then xm else if px > x1 then x1 else px
-            and cy = if py < y0 then y0 else if py > ym then ym else py in
-            let dx = px -. cx and dy = py -. cy in
-            (dx *. dx) +. (dy *. dy)
-          in
-          (* rank4, written out inline: see its comment — a float
-             argument crossing a non-inlined call boxes per node. *)
-          let r0 =
-            (if d1 < d0 then 1 else 0)
-            + (if d2 < d0 then 1 else 0)
-            + if d3 < d0 then 1 else 0
-          in
-          let r1 =
-            (if d0 <= d1 then 1 else 0)
-            + (if d2 < d1 then 1 else 0)
-            + if d3 < d1 then 1 else 0
-          in
-          let r2 =
-            (if d0 <= d2 then 1 else 0)
-            + (if d1 <= d2 then 1 else 0)
-            + if d3 < d2 then 1 else 0
-          in
-          let r3 =
-            (if d0 <= d3 then 1 else 0)
-            + (if d1 <= d3 then 1 else 0)
-            + if d2 <= d3 then 1 else 0
-          in
-          let perm =
-            (0 lsl (2 * r0)) lor (1 lsl (2 * r1)) lor (2 lsl (2 * r2))
-            lor (3 lsl (2 * r3))
-          in
-          let v = ref 1 in
-          for i = 0 to 3 do
-            v :=
-              !v
-              + (match (perm lsr (2 * i)) land 3 with
-                | 0 -> go_int (base + 2) qx0 (qy0 + hs) h
-                | 1 -> go_int (base + 3) (qx0 + hs) (qy0 + hs) h
-                | 2 -> go_int (base + 0) qx0 qy0 h
-                | _ -> go_int (base + 1) (qx0 + hs) qy0 h)
-          done;
-          !v
-        end
-      end
-      else 1
-    in
-    let rec go_float node ~box =
-      incr visited;
-      if dist_sq_to_box px py box < best.(0) then begin
-        let base = t.child.(node) in
-        if base < 0 then scan_chain node
-        else begin
-          let order, boxes = ranked_children px py ~box in
-          for i = 0 to 3 do
-            let q = order.(i) in
-            go_float (base + quad_pair.(q)) ~box:boxes.(q)
-          done
-        end
-      end
-    in
-    let visits =
-      if int_descent t then go_int 0 0 0 bits_fine
-      else begin
-        Probe.arena_query_fallback ();
-        go_float 0 ~box:t.bounds;
-        !visited
-      end
-    in
-    ((if !found then Some (Point.make best.(1) best.(2)) else None), visits)
-  end
-
-let k_nearest_visited t k (p : Point.t) =
-  if k < 0 then invalid_arg "Pr_arena.k_nearest_visited: k < 0";
-  if k = 0 || t.size = 0 then ([], 0)
-  else begin
-    let px = p.Point.x and py = p.Point.y in
-    let nbrs = Pqueue.Neighbors.create k in
-    (* Fallback-path tally only, as in [nearest_visited]. *)
-    let visited = ref 0 in
-    let scan_chain node =
-      let slot = ref t.head.(node) in
-      while !slot >= 0 do
-        let s = !slot in
-        let x = t.xs.{s} and y = t.ys.{s} in
-        let dx = x -. px and dy = y -. py in
-        let d = (dx *. dx) +. (dy *. dy) in
-        if d < Pqueue.Neighbors.worst nbrs then
-          Pqueue.Neighbors.offer nbrs ~dist:d (Point.make x y);
-        slot := t.next.{s}
-      done
-    in
-    let rec go_int node qx0 qy0 shift =
-      let side = 1 lsl shift in
-      let x0 = float_of_int qx0 *. inv_fine_scale
-      and y0 = float_of_int qy0 *. inv_fine_scale
-      and x1 = float_of_int (qx0 + side) *. inv_fine_scale
-      and y1 = float_of_int (qy0 + side) *. inv_fine_scale in
-      let cx = if px < x0 then x0 else if px > x1 then x1 else px in
-      let cy = if py < y0 then y0 else if py > y1 then y1 else py in
-      let dx = px -. cx and dy = py -. cy in
-      if (dx *. dx) +. (dy *. dy) < Pqueue.Neighbors.worst nbrs then begin
-        let base = t.child.(node) in
-        if base < 0 then begin
-          scan_chain node;
-          1
-        end
-        else begin
-          let h = shift - 1 in
-          let hs = 1 lsl h in
-          let xm = float_of_int (qx0 + hs) *. inv_fine_scale
-          and ym = float_of_int (qy0 + hs) *. inv_fine_scale in
-          let d0 =
-            let cx = if px < x0 then x0 else if px > xm then xm else px
-            and cy = if py < ym then ym else if py > y1 then y1 else py in
-            let dx = px -. cx and dy = py -. cy in
-            (dx *. dx) +. (dy *. dy)
-          in
-          let d1 =
-            let cx = if px < xm then xm else if px > x1 then x1 else px
-            and cy = if py < ym then ym else if py > y1 then y1 else py in
-            let dx = px -. cx and dy = py -. cy in
-            (dx *. dx) +. (dy *. dy)
-          in
-          let d2 =
-            let cx = if px < x0 then x0 else if px > xm then xm else px
-            and cy = if py < y0 then y0 else if py > ym then ym else py in
-            let dx = px -. cx and dy = py -. cy in
-            (dx *. dx) +. (dy *. dy)
-          in
-          let d3 =
-            let cx = if px < xm then xm else if px > x1 then x1 else px
-            and cy = if py < y0 then y0 else if py > ym then ym else py in
-            let dx = px -. cx and dy = py -. cy in
-            (dx *. dx) +. (dy *. dy)
-          in
-          (* rank4, written out inline: see its comment — a float
-             argument crossing a non-inlined call boxes per node. *)
-          let r0 =
-            (if d1 < d0 then 1 else 0)
-            + (if d2 < d0 then 1 else 0)
-            + if d3 < d0 then 1 else 0
-          in
-          let r1 =
-            (if d0 <= d1 then 1 else 0)
-            + (if d2 < d1 then 1 else 0)
-            + if d3 < d1 then 1 else 0
-          in
-          let r2 =
-            (if d0 <= d2 then 1 else 0)
-            + (if d1 <= d2 then 1 else 0)
-            + if d3 < d2 then 1 else 0
-          in
-          let r3 =
-            (if d0 <= d3 then 1 else 0)
-            + (if d1 <= d3 then 1 else 0)
-            + if d2 <= d3 then 1 else 0
-          in
-          let perm =
-            (0 lsl (2 * r0)) lor (1 lsl (2 * r1)) lor (2 lsl (2 * r2))
-            lor (3 lsl (2 * r3))
-          in
-          let v = ref 1 in
-          for i = 0 to 3 do
-            v :=
-              !v
-              + (match (perm lsr (2 * i)) land 3 with
-                | 0 -> go_int (base + 2) qx0 (qy0 + hs) h
-                | 1 -> go_int (base + 3) (qx0 + hs) (qy0 + hs) h
-                | 2 -> go_int (base + 0) qx0 qy0 h
-                | _ -> go_int (base + 1) (qx0 + hs) qy0 h)
-          done;
-          !v
-        end
-      end
-      else 1
-    in
-    let rec go_float node ~box =
-      incr visited;
-      if dist_sq_to_box px py box < Pqueue.Neighbors.worst nbrs then begin
-        let base = t.child.(node) in
-        if base < 0 then scan_chain node
-        else begin
-          let order, boxes = ranked_children px py ~box in
-          for i = 0 to 3 do
-            let q = order.(i) in
-            go_float (base + quad_pair.(q)) ~box:boxes.(q)
-          done
-        end
-      end
-    in
-    let visits =
-      if int_descent t then go_int 0 0 0 bits_fine
-      else begin
-        Probe.arena_query_fallback ();
-        go_float 0 ~box:t.bounds;
-        !visited
-      end
-    in
-    (Pqueue.Neighbors.drain_nearest nbrs, visits)
-  end
-
-(* A point descent enters one node per level: the root-to-leaf path of
-   [depth] internal steps visits [depth + 1] nodes. *)
-let cell_at_visited t (p : Point.t) =
-  let ((depth, _, _) as cell) = cell_at t p in
-  (cell, depth + 1)
 
 (* --- Snapshots -------------------------------------------------------
 
@@ -2604,8 +1635,6 @@ let snapshot t =
     {
       capacity = t.capacity;
       max_depth = t.max_depth;
-      bounds = t.bounds;
-      unit_bounds = t.unit_bounds;
       backing = Heap;
       seg_dir = None;
       seg_bytes = [];
@@ -2651,15 +1680,17 @@ let freeze t =
         (Array.init 4 (fun q -> conv (base + quad_pair.(q))))
   in
   Pr_quadtree.Raw.make ~capacity:t.capacity ~max_depth:t.max_depth
-    ~bounds:t.bounds ~size:t.size ~root:(conv 0)
+    ~bounds:Box.unit ~size:t.size ~root:(conv 0)
 
 let thaw tree =
+  if not (Box.equal (Pr_quadtree.bounds tree) Box.unit) then
+    invalid_arg "Pr_arena.thaw: tree bounds are not the unit square";
+  let max_depth = Pr_quadtree.max_depth tree in
+  if max_depth > bits_fine then
+    invalid_arg "Pr_arena.thaw: tree max_depth exceeds 42";
   let capacity = Pr_quadtree.capacity tree in
   let n = Pr_quadtree.size tree in
-  let t =
-    create ~max_depth:(Pr_quadtree.max_depth tree)
-      ~bounds:(Pr_quadtree.bounds tree) ~reserve:n ~capacity ()
-  in
+  let t = create ~max_depth ~reserve:n ~capacity () in
   t.leaves <- 0;
   t.hist.(0) <- 0;
   t.depth_count.(0) <- 0;
@@ -2676,7 +1707,7 @@ let thaw tree =
           incr slot;
           t.xs.{s} <- p.Point.x;
           t.ys.{s} <- p.Point.y;
-          t.codes.{s} <- point_code t p.Point.x p.Point.y;
+          t.codes.{s} <- Morton.encode p;
           t.next.{s} <- -1;
           if !last < 0 then t.head.(node) <- s else t.next.{!last} <- s;
           last := s;
@@ -2729,7 +1760,7 @@ let check_invariants t =
         let p = Point.make t.xs.{s} t.ys.{s} in
         if not (Box.contains box p) then
           report "slot %d outside its leaf cell" s;
-        if t.unit_bounds && t.codes.{s} <> Morton.encode p then
+        if t.codes.{s} <> Morton.encode p then
           report "slot %d code diverges from its coordinates" s;
         slot := t.next.{s}
       done;
@@ -2746,7 +1777,7 @@ let check_invariants t =
       done
     end
   in
-  go 0 ~depth:0 ~box:t.bounds;
+  go 0 ~depth:0 ~box:Box.unit;
   if !leaves <> t.leaves then
     report "leaf counter %d but %d leaves present" t.leaves !leaves;
   if !internals <> t.internals then

@@ -18,10 +18,9 @@ open Import
     than RAM. There is no per-node boxing and no cons cell anywhere on
     the build path:
 
-    - {b allocation-free inserts}: over the unit square (the default
-      bounds) an insert is an integer walk down the child-base table
-      driven by the point's Morton code — two bits per level — followed
-      by three column writes. Splits redistribute an intrusive chain
+    - {b allocation-free inserts}: an insert is an integer walk down
+      the child-base table driven by the point's Morton code — two bits
+      per level — followed by three column writes. Splits redistribute an intrusive chain
       and bump-allocate four node indices. Nothing touches the minor
       heap except doubling a backing column ([make check] asserts the
       zero-minor-words claim via [Gc.minor_words]).
@@ -39,18 +38,17 @@ open Import
       deterministic {!Popan_parallel} pool and reduce node-id blocks in
       task order — the resulting arena is {b byte-identical} to the
       sequential build at every job count.
-    - {b exactness to 42 bits}: over the unit square the Morton bit at
-      level [d] equals the float comparison [x >= midpoint] down to
-      [d < ]{!Popan_geom.Morton.bits_fine}[ = 42] — cell boundaries are
-      dyadic rationals, exactly representable, and [floor (x *. 2^42)]
-      is computed without rounding — so both build paths produce
-      bit-for-bit the decomposition {!Pr_builder} and
-      {!Pr_quadtree.of_points} produce, with integer descent the whole
-      way. Custom bounds (and the pathological regime below 42 bits:
-      duplicate-heavy data under [max_depth > 42], which warns via
-      [Probe.arena_deep_float]) descend by the same float-midpoint
-      arithmetic as {!Popan_geom.Box.step}, preserving the equivalence
-      there too.
+    - {b the unit square, to 42 levels}: the arena covers exactly
+      {!Popan_geom.Box.unit} and [max_depth] is at most
+      {!Popan_geom.Morton.bits_fine}[ = 42]. There the Morton bit at
+      level [d] equals the float comparison [x >= midpoint] at every
+      level a split can reach — cell boundaries are dyadic rationals,
+      exactly representable, and [floor (x *. 2^42)] is computed without
+      rounding — so both build paths produce bit-for-bit the
+      decomposition {!Pr_builder} and {!Pr_quadtree.of_points} produce,
+      and every build, churn and query path descends on integers the
+      whole way. Data in other bounds is normalized into the unit square
+      by the caller ([popan measure] does this at the CLI).
 
     {!freeze} converts a build into a persistent {!Pr_quadtree.t} and
     {!thaw} goes the other way, so snapshots, checkpoints and golden
@@ -69,25 +67,22 @@ type t
     [Probe.arena_fallback], never silently. *)
 type backing = Heap | Mmap of { dir : string }
 
-(** [create ?max_depth ?bounds ?reserve ?backing ~capacity ()] is an
-    empty arena over [bounds] (default the unit square) with leaf
-    capacity [capacity] (>= 1) and depth limit [max_depth] (default 16;
-    >= 0). [reserve] (default 0) pre-sizes the point columns so the
-    first [reserve] inserts never grow one. [backing] (default
-    {!Heap}) places the columns. Raises [Invalid_argument] on a
-    nonpositive capacity or negative max_depth or reserve. *)
+(** [create ?max_depth ?reserve ?backing ~capacity ()] is an empty
+    arena over the unit square with leaf capacity [capacity] (>= 1) and
+    depth limit [max_depth] (default 16; 0 to 42). [reserve] (default 0)
+    pre-sizes the point columns so the first [reserve] inserts never
+    grow one. [backing] (default {!Heap}) places the columns. Raises
+    [Invalid_argument] on a nonpositive capacity, a [max_depth] outside
+    0..42 or a negative reserve. *)
 val create :
-  ?max_depth:int -> ?bounds:Box.t -> ?reserve:int -> ?backing:backing ->
-  capacity:int -> unit -> t
+  ?max_depth:int -> ?reserve:int -> ?backing:backing -> capacity:int ->
+  unit -> t
 
 (** [capacity t] is the leaf capacity. *)
 val capacity : t -> int
 
 (** [max_depth t] is the depth limit. *)
 val max_depth : t -> int
-
-(** [bounds t] is the root block. *)
-val bounds : t -> Box.t
 
 (** [backing t] is the arena's {e effective} backing: {!Heap} when an
     {!Mmap} request degraded (see {!backing}). *)
@@ -101,8 +96,8 @@ val is_empty : t -> bool
 
 (** [insert t p] adds [p], destructively. Duplicate points are stored
     again (multiset semantics). Raises [Invalid_argument] when [p] is
-    outside the bounds. Allocation-free over the unit square except
-    when a backing column doubles. *)
+    outside the unit square. Allocation-free except when a backing
+    column doubles. *)
 val insert : t -> Point.t -> unit
 
 (** [insert_all t ps] inserts every point of [ps] in order. *)
@@ -110,7 +105,8 @@ val insert_all : t -> Point.t list -> unit
 
 (** [delete t p] removes one stored occurrence of [p] (multiset
     semantics: duplicates go one at a time) and returns whether a point
-    was removed; absent points — including points outside the bounds —
+    was removed; absent points — including points outside the unit
+    square —
     leave the arena untouched and return [false]. The slot is unlinked
     from its leaf's intrusive chain in O(chain), and every ancestor
     whose subtree population has fallen to at most [capacity] collapses
@@ -121,13 +117,14 @@ val insert_all : t -> Point.t list -> unit
     arena footprint is bounded by the live-population high-water mark
     ({!slot_high_water}), not lifetime inserts — and a churn steady
     state is allocation-free: a no-merge delete, like a no-split
-    insert, writes zero minor-heap words over the unit square. *)
+    insert, writes zero minor-heap words. *)
 val delete : t -> Point.t -> bool
 
 (** [update t p q] is a moving-object step: {!delete} [p] and, when it
     was present, {!insert} [q], returning whether the move happened
     ([p] absent leaves the arena untouched). Raises [Invalid_argument]
-    when [q] is outside the bounds (checked before any mutation). *)
+    when [q] is outside the unit square (checked before any
+    mutation). *)
 val update : t -> Point.t -> Point.t -> bool
 
 (** [slot_high_water t] is the number of point slots ever in use at
@@ -136,13 +133,12 @@ val update : t -> Point.t -> Point.t -> bool
     population while lifetime inserts grow without bound. O(1). *)
 val slot_high_water : t -> int
 
-(** [of_points ?max_depth ?bounds ~capacity ps] builds by successive
+(** [of_points ?max_depth ~capacity ps] builds by successive
     destructive insertion — the same growth history (and the same
     decomposition) as {!Pr_quadtree.of_points}. *)
-val of_points :
-  ?max_depth:int -> ?bounds:Box.t -> capacity:int -> Point.t list -> t
+val of_points : ?max_depth:int -> capacity:int -> Point.t list -> t
 
-(** [of_points_bulk ?max_depth ?bounds ?backing ?jobs ?pool ~capacity ps]
+(** [of_points_bulk ?max_depth ?backing ?jobs ?pool ~capacity ps]
     bulk-loads: encode every point's Morton key, sort once (top-down
     MSD radix, stopping exactly where leaves form), then emit the tree
     in a single linear pass. The PR decomposition is canonical, so the
@@ -153,33 +149,31 @@ val of_points :
     [?jobs] (or an existing [?pool] — [jobs] is ignored when both are
     given) runs the build's subtree ranges on the deterministic domain
     pool; the finished arena is byte-identical to the sequential build
-    ([jobs] omitted) for every job count, including [jobs = 1]. Custom
-    bounds (or cells below the Morton resolution) fall back to an
-    in-place float-midpoint partition with the same split rule; the
-    fan-out does not apply to custom bounds (a parallel request there
-    warns via [Probe.arena_fallback] and builds sequentially).
+    ([jobs] omitted) for every job count, including [jobs = 1].
 
     Sequential heap-backed builds with at most [2^21 - 1] points sort
     packed single-word keys (code shifted over slot) in plain int
     arrays instead of the two Bigarray key/slot columns — PR 5's
     kernel, kept because it moves half the words per partition level.
-    The choice selects sort scratch only: both kernels are stable MSD
-    partitions over the same codes, so the finished arena is
-    byte-identical either way. *)
+    The choice selects sort scratch only: both
+    kernels are stable MSD partitions over the same codes, so the
+    finished arena is byte-identical either way. Raises
+    [Invalid_argument] as {!create} does, or when a point lies outside
+    the unit square. *)
 val of_points_bulk :
-  ?max_depth:int -> ?bounds:Box.t -> ?backing:backing -> ?jobs:int ->
+  ?max_depth:int -> ?backing:backing -> ?jobs:int ->
   ?pool:Popan_parallel.Pool.t -> capacity:int -> Point.t list -> t
 
-(** [bulk_of_fn ?max_depth ?bounds ?backing ?jobs ?pool ~capacity ~n f]
+(** [bulk_of_fn ?max_depth ?backing ?jobs ?pool ~capacity ~n f]
     is {!of_points_bulk} on the points [f 0 .. f (n-1)] without ever
     materializing them as a list — the large-n entry point (a boxed
     list of 10^8 points costs more than the whole arena). [f] is called
     strictly in order [0 .. n-1] on the calling domain, so a stateful
     generator (an RNG stream) draws exactly as it would building the
     list first. Raises [Invalid_argument] when [n < 0] or some [f i]
-    falls outside the bounds. *)
+    falls outside the unit square. *)
 val bulk_of_fn :
-  ?max_depth:int -> ?bounds:Box.t -> ?backing:backing -> ?jobs:int ->
+  ?max_depth:int -> ?backing:backing -> ?jobs:int ->
   ?pool:Popan_parallel.Pool.t -> capacity:int -> n:int -> (int -> Point.t) ->
   t
 
@@ -238,11 +232,15 @@ val points : t -> Point.t list
     The query kernels walk the structure-of-arrays columns directly —
     no freeze to {!Pr_quadtree} per query — and mutate nothing, so any
     number of domains may query one arena concurrently; the serving
-    layer fans batched queries out over one pinned epoch arena.
-    Each kernel is differential-tested against its {!Pr_quadtree}
-    counterpart.
+    layer fans batched queries out over one pinned epoch arena. Each
+    kernel is differential-tested against its {!Pr_quadtree}
+    counterpart, and each query kind has exactly one traversal: the
+    cost counting below is an output of it, not a second copy.
 
-    Two structural properties of the range/count kernels:
+    {b Integer cell descent.} Cells are dyadic sub-cells of the unit
+    square no finer than the 2^-42 grid, so the kernels descend on
+    integer cell corners — no box record per visited node; the count
+    and nearest walks allocate nothing per node.
 
     {b Containment pruning.} Every node carries its exact subtree
     population, so a node whose cell the target box fully contains is
@@ -251,85 +249,57 @@ val points : t -> Point.t list
     Cost tracks the visited-node frontier (the Curien–Joseph
     partial-match regime), not the answer's population. Soundness rests
     on cells being half-open on their high edges, exactly
-    {!Box.contains}'s convention.
+    {!Box.contains}'s convention. *)
 
-    {b Integer cell descent.} Unit-bounds arenas no deeper than the
-    42-bit fine Morton grid descend on integer cell corners — no box
-    record per visited node, zero minor words allocated per query.
-    Custom bounds or deeper arenas fall back to float-midpoint descent
-    (same answers, still containment-pruned) and say so once per
-    process via [Probe.arena_query_fallback]. *)
+(** Caller-owned per-query cost scratch. A kernel given [~cost] resets
+    it on entry, then leaves in [visited] the number of tree nodes its
+    traversal entered — a pruned subtree, disjoint or contained, costs
+    exactly its root — and in [pruned] the number of subtrees the range
+    and count kernels answered wholesale by containment. A query the
+    kernel refuses (it raises [Invalid_argument]) reads zero. The
+    visited count is the observable of the partial-match cost analysis:
+    on a full-height strip query it grows as [n^((sqrt 17 - 3) / 2)]
+    (Curien–Joseph). The serving layer reuses one scratch per domain,
+    wrapped in its option once, so passing it costs no allocation. *)
+type cost = { mutable visited : int; mutable pruned : int }
 
-(** [query_box t b] lists the stored points inside [b] (half-open, as
-    {!Box.contains}), in no specified but deterministic order —
-    identical, element for element, to {!query_box_unpruned}'s.
-    Subtrees whose cells miss [b] are pruned; subtrees whose cells [b]
-    contains are drained without per-point tests. *)
-val query_box : t -> Box.t -> Point.t list
+(** [cost ()] is a fresh zeroed scratch. *)
+val cost : unit -> cost
 
-(** [count_in_box t b] is [List.length (query_box t b)] without
+(** [query_box ?cost t b] lists the stored points inside [b]
+    (half-open, as {!Box.contains}) — element for element the list
+    {!Pr_quadtree.query_box} returns on [freeze t]. Subtrees whose
+    cells miss [b] are pruned; subtrees whose cells [b] contains are
+    drained without per-point tests. *)
+val query_box : ?cost:cost -> t -> Box.t -> Point.t list
+
+(** [count_in_box ?cost t b] is [List.length (query_box t b)] without
     materializing the points; boxes containing whole subtree cells are
-    answered from the stored per-node counts in O(frontier). *)
-val count_in_box : t -> Box.t -> int
+    answered from the stored per-node counts in O(frontier). Allocates
+    nothing. *)
+val count_in_box : ?cost:cost -> t -> Box.t -> int
 
-(** [count_in_box_visited t b] is [count_in_box t b] paired with the
-    number of tree nodes the traversal touched (a pruned subtree —
-    disjoint or contained — costs exactly its root) — the observable
-    for the partial-match cost analysis: on a full-height strip query
-    the visited count grows as [n^((sqrt 17 - 3) / 2)]
-    (Curien–Joseph). *)
-val count_in_box_visited : t -> Box.t -> int * int
-
-(** The pre-pruning kernels, kept callable for ablation benches and the
-    monotonicity property (pruned visits <= unpruned visits on every
-    box): identical answers, but every intersecting subtree is entered
-    and every chained point tested. *)
-
-val query_box_unpruned : t -> Box.t -> Point.t list
-val count_in_box_unpruned : t -> Box.t -> int
-val count_in_box_unpruned_visited : t -> Box.t -> int * int
-
-(** [nearest t p] is a stored point at minimal Euclidean distance from
-    [p] (ties arbitrary), or [None] when empty. Children are visited
-    closest-first under the same clamp-distance bound as
+(** [nearest ?cost t p] is a stored point at minimal Euclidean distance
+    from [p] (ties arbitrary), or [None] when empty. Children are
+    visited closest-first under the same clamp-distance bound as
     {!Pr_quadtree.nearest}; the child ranking packs into one int — no
     per-node scratch arrays. *)
-val nearest : t -> Point.t -> Point.t option
+val nearest : ?cost:cost -> t -> Point.t -> Point.t option
 
-(** [k_nearest t k p] is up to [k] stored points closest to [p],
-    nearest first (ties arbitrary), via the shared
-    {!Pqueue.Neighbors} bound. Raises [Invalid_argument] if [k < 0]. *)
-val k_nearest : t -> int -> Point.t -> Point.t list
+(** [k_nearest ?cost t k p] is up to [k] stored points closest to [p],
+    nearest first (ties arbitrary), via the shared {!Pqueue.Neighbors}
+    bound, on the same traversal as {!nearest}. Raises
+    [Invalid_argument] if [k < 0]. *)
+val k_nearest : ?cost:cost -> t -> int -> Point.t -> Point.t list
 
-(** [cell_at t p] is the leaf cell containing [p]: its depth, its
+(** [cell_at ?cost t p] is the leaf cell containing [p]: its depth, its
     block, and the points stored in it — the arena analog of
-    {!Pr_quadtree.leaf_at}. Raises [Invalid_argument] when [p] is
-    outside the bounds. *)
-val cell_at : t -> Point.t -> int * Box.t * Point.t list
+    {!Pr_quadtree.leaf_at}. A point descent enters [depth + 1] nodes.
+    Raises [Invalid_argument] when [p] is outside the unit square. *)
+val cell_at : ?cost:cost -> t -> Point.t -> int * Box.t * Point.t list
 
 (** [mem t p] is whether some stored point equals [p] exactly. *)
 val mem : t -> Point.t -> bool
-
-(** {2 Visited-counting kernels}
-
-    Each [_visited] kernel returns the plain kernel's answer paired
-    with the number of tree nodes the traversal entered, under
-    {!count_in_box_visited}'s accounting (a pruned subtree costs
-    exactly its root). The serving layer records these counts into the
-    stable [serve.visited.*] sketches — the live analog of the
-    population analysis' cost observables. Separate copies, so the
-    uninstrumented kernels keep their exact instruction stream. *)
-
-val query_box_visited : t -> Box.t -> Point.t list * int
-val nearest_visited : t -> Point.t -> Point.t option * int
-
-(** Raises [Invalid_argument] if [k < 0]. *)
-val k_nearest_visited : t -> int -> Point.t -> Point.t list * int
-
-(** [cell_at_visited t p] is [cell_at t p] with its visited count
-    [depth + 1] — a point descent enters one node per level. Raises
-    [Invalid_argument] when [p] is outside the bounds. *)
-val cell_at_visited : t -> Point.t -> (int * Box.t * Point.t list) * int
 
 (** [snapshot t] is an independent heap-backed deep copy of the arena —
     columns, node tables, free lists and counters — sharing no mutable
@@ -356,7 +326,9 @@ val freeze : t -> Pr_quadtree.t
 
 (** [thaw tree] is an arena resuming from a persistent tree's state,
     with all incremental statistics recomputed in one traversal. The
-    input tree is not affected by subsequent inserts. *)
+    input tree is not affected by subsequent inserts. Raises
+    [Invalid_argument] when the tree's bounds are not the unit square
+    or its [max_depth] exceeds 42. *)
 val thaw : Pr_quadtree.t -> t
 
 (** [check_invariants t] verifies the PR invariants of the frozen view

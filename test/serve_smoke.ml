@@ -109,17 +109,15 @@ let expect_response ic what =
 
 (* One full conversation at a given job count: four batches, stats,
    quit. Returns the per-batch (epoch, answer bytes) and the reported
-   tree size. [extra] rides along on the command line — the
-   [--no-batch-sort] runs reuse the whole conversation. *)
-let converse ?(extra = []) ?(what = "jobs") jobs =
-  let what = Printf.sprintf "%s %d" what jobs in
+   tree size. *)
+let converse jobs =
+  let what = Printf.sprintf "jobs %d" jobs in
   let pid, ic, oc =
     spawn_serve
-      ([ "-j"; string_of_int jobs;
-         "-n"; string_of_int base_points;
-         "--seed"; string_of_int seed;
-         "--churn-ops"; string_of_int churn_ops ]
-      @ extra)
+      [ "-j"; string_of_int jobs;
+        "-n"; string_of_int base_points;
+        "--seed"; string_of_int seed;
+        "--churn-ops"; string_of_int churn_ops ]
   in
   let batch () =
     Wire.write_request oc (Wire.Batch queries);
@@ -145,18 +143,18 @@ let converse ?(extra = []) ?(what = "jobs") jobs =
     fail "%s: reported %d batches, expected %d" what batches batch_count;
   (answered, size)
 
-let check_against_oracle ?(what = "jobs") jobs (batches, size) =
+let check_against_oracle jobs (batches, size) =
   List.iteri
     (fun i ((epoch, bytes), (oracle_epoch, oracle_answers)) ->
       if epoch <> oracle_epoch then
-        fail "%s %d batch %d: answered from epoch %d, oracle epoch %d" what
-          jobs (i + 1) epoch oracle_epoch;
+        fail "jobs %d batch %d: answered from epoch %d, oracle epoch %d" jobs
+          (i + 1) epoch oracle_epoch;
       if not (String.equal bytes (answer_bytes oracle_answers)) then
-        fail "%s %d batch %d: answers differ from the sequential oracle"
-          what jobs (i + 1))
+        fail "jobs %d batch %d: answers differ from the sequential oracle"
+          jobs (i + 1))
     (List.combine batches oracle_batches);
   if size <> oracle_size then
-    fail "%s %d: served tree size %d, oracle %d" what jobs size oracle_size
+    fail "jobs %d: served tree size %d, oracle %d" jobs size oracle_size
 
 (* A frame that lies about its length: header says 64 bytes, body has
    8, then EOF. The server must answer Refused and stop — never guess
@@ -338,20 +336,12 @@ let () =
       let result = converse jobs in
       check_against_oracle jobs result)
     [ 1; 2; 4 ];
-  (* The oracle answers with Morton batch-sorting on (the default):
-     matching it with the sort disabled proves the schedule never
-     reaches the wire. *)
-  List.iter
-    (fun jobs ->
-      let result = converse ~extra:[ "--no-batch-sort" ] ~what:"no-sort" jobs in
-      check_against_oracle ~what:"no-sort" jobs result)
-    [ 1; 2; 4 ];
   multi_client_socket ();
   truncated_frame_refused ();
   telemetry_scrape_consistent ();
   Printf.printf
     "serve smoke: %dx %d-query batches over the wire byte-identical to the \
-     sequential oracle at jobs 1/2/4, with and without --no-batch-sort \
+     sequential oracle at jobs 1/2/4 \
      (epochs 0 -> %d under live churn, the later ones replayed); two \
      sequential socket clients served, state intact; truncated frame \
      refused; full-telemetry \

@@ -203,12 +203,14 @@ let tests =
     Alcotest.test_case
       "integer-descent count and nearest allocate zero minor words" `Quick
       (fun () ->
-        (* The read-path claim: on a unit-square arena no deeper than 42
-           levels, [count_in_box] descends on integer cell coordinates
-           and [nearest] ranks quadrants through packed int scratch —
-           neither touches the minor heap. The boxes and probe points
-           are built before the meter starts; the loops fold into int
-           accumulators so nothing escapes. *)
+        (* The read-path claim: [count_in_box] descends on integer cell
+           coordinates and [nearest] ranks quadrants through packed int
+           scratch — neither touches the minor heap per node. Each query
+           kind has one kernel, and serving with telemetry on runs it
+           with a reused, pre-wrapped cost scratch; the count loop is
+           metered both without and with one. The boxes and probe
+           points are built before the meter starts; the loops fold
+           into int accumulators so nothing escapes. *)
         if not native then print_endline "skipped: bytecode boxes floats"
         else begin
           let module Box = Popan_geom.Box in
@@ -232,21 +234,30 @@ let tests =
           (match Pr_arena.nearest t probes.(0) with
           | Some _ -> ()
           | None -> assert false);
-          let total = ref 0 in
-          let count_words =
-            measure (fun () ->
-                for i = 0 to queries - 1 do
-                  total := !total + Pr_arena.count_in_box t boxes.(i)
-                done)
-          in
-          Alcotest.check Alcotest.bool "counts nonzero" true (!total > 0);
-          if count_words > slack then
-            Alcotest.failf
-              "count_in_box allocated %.0f minor words over %d queries \
-               (%.2f words/query); the integer-descent path must not \
-               allocate"
-              count_words queries
-              (count_words /. float_of_int queries);
+          let scratch = Pr_arena.cost () in
+          let cost = Some scratch in
+          List.iter
+            (fun (what, cost) ->
+              let total = ref 0 and visited = ref 0 in
+              let count_words =
+                measure (fun () ->
+                    for i = 0 to queries - 1 do
+                      total := !total + Pr_arena.count_in_box ?cost t boxes.(i);
+                      visited := !visited + scratch.Pr_arena.visited
+                    done)
+              in
+              Alcotest.check Alcotest.bool "counts nonzero" true (!total > 0);
+              if cost <> None then
+                Alcotest.check Alcotest.bool "visits counted" true
+                  (!visited >= queries);
+              if count_words > slack then
+                Alcotest.failf
+                  "count_in_box (%s) allocated %.0f minor words over %d \
+                   queries (%.2f words/query); the integer-descent path \
+                   must not allocate"
+                  what count_words queries
+                  (count_words /. float_of_int queries))
+            [ ("no cost scratch", None); ("cost scratch", cost) ];
           let found = ref 0 in
           let nearest_words =
             measure (fun () ->

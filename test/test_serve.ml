@@ -5,6 +5,7 @@
 
 module Point = Popan_geom.Point
 module Box = Popan_geom.Box
+module Quadrant = Popan_geom.Quadrant
 module Xoshiro = Popan_rng.Xoshiro
 module Sampler = Popan_rng.Sampler
 module Pqueue = Popan_trees.Pqueue
@@ -123,13 +124,21 @@ let neighbors_tests =
 
 let knn_distances p ps = List.map (Point.distance_sq p) ps
 
+(* The count kernel's visited-node tally, read through a cost scratch. *)
+let count_in_box_visited arena b =
+  let cost = Pr_arena.cost () in
+  let n = Pr_arena.count_in_box ~cost arena b in
+  (n, cost.Pr_arena.visited)
+
 let kernel_tests =
   [
     prop ~count:80 "query_box ≡ Pr_quadtree.query_box"
       QCheck2.Gen.(pair gen_pair gen_box)
       (fun ((arena, tree), b) ->
-        sorted_points (Pr_arena.query_box arena b)
-        = sorted_points (Pr_quadtree.query_box tree b));
+        (* Element for element: the tree is frozen from the arena, which
+           keeps chain order, and both walks cons hits in quadrant
+           order. *)
+        Pr_arena.query_box arena b = Pr_quadtree.query_box tree b);
     prop ~count:80 "count_in_box ≡ Pr_quadtree.count_in_box"
       QCheck2.Gen.(pair gen_pair gen_box)
       (fun ((arena, tree), b) ->
@@ -137,8 +146,18 @@ let kernel_tests =
     prop ~count:60 "count_in_box_visited counts the same points"
       QCheck2.Gen.(pair gen_pair gen_box)
       (fun ((arena, _), b) ->
-        let count, visited = Pr_arena.count_in_box_visited arena b in
+        let count, visited = count_in_box_visited arena b in
         count = Pr_arena.count_in_box arena b && visited >= 1);
+    prop ~count:60 "range and count walks report the same cost"
+      QCheck2.Gen.(pair gen_pair gen_box)
+      (fun ((arena, _), b) ->
+        (* The count walk packs its visits into its return value, the
+           range walk adds them into the scratch: the same traversal
+           must come out the same either way. *)
+        let range = Pr_arena.cost () and count = Pr_arena.cost () in
+        ignore (Pr_arena.query_box ~cost:range arena b : Point.t list);
+        ignore (Pr_arena.count_in_box ~cost:count arena b : int);
+        range = count);
     prop ~count:80 "k_nearest ≡ Pr_quadtree.k_nearest (distances)"
       QCheck2.Gen.(triple gen_pair gen_point (int_range 0 20))
       (fun ((arena, tree), p, k) ->
@@ -177,18 +196,70 @@ let kernel_tests =
                 | q :: _ -> [ q ])));
     Alcotest.test_case "k_nearest validates" `Quick (fun () ->
         let arena = Pr_arena.of_points_bulk ~capacity:4 (uniform_points 7 50) in
+        let cost = Pr_arena.cost () in
+        ignore (Pr_arena.k_nearest ~cost arena 3 (Point.make 0.5 0.5));
         Alcotest.check_raises "k" (Invalid_argument "Pr_arena.k_nearest: k < 0")
-          (fun () -> ignore (Pr_arena.k_nearest arena (-1) (Point.make 0.5 0.5))));
+          (fun () ->
+            ignore (Pr_arena.k_nearest ~cost arena (-1) (Point.make 0.5 0.5)));
+        check_int "refused query costs nothing" 0 cost.Pr_arena.visited);
     Alcotest.test_case "cell_at validates" `Quick (fun () ->
         let arena = Pr_arena.of_points_bulk ~capacity:4 (uniform_points 7 50) in
+        let cost = Pr_arena.cost () in
+        let depth, _, _ = Pr_arena.cell_at ~cost arena (Point.make 0.3 0.3) in
+        check_int "a point descent visits depth + 1 nodes" (depth + 1)
+          cost.Pr_arena.visited;
         Alcotest.check_raises "outside"
           (Invalid_argument "Pr_arena.cell_at: point outside bounds") (fun () ->
-            ignore (Pr_arena.cell_at arena (Point.make 2.0 0.5))));
+            ignore (Pr_arena.cell_at ~cost arena (Point.make 2.0 0.5)));
+        check_int "refused query costs nothing" 0 cost.Pr_arena.visited);
   ]
 
-(* The pruned kernels against their unpruned twins, and the boundary
+(* The pruned kernels against the unpruned walk, and the boundary
    semantics both must share: half-open edges, targets that coincide
-   with cells, degenerate boxes, duplicate chains at max depth. *)
+   with cells, degenerate boxes, duplicate chains at max depth.
+
+   The unpruned oracles walk the frozen tree: every node whose cell
+   meets the target is entered (and counted), and every point of a
+   reached leaf is tested — no containment shortcut. That is exactly
+   [Pr_quadtree.query_box]'s walk, which conses hits in quadrant
+   order. *)
+let count_in_box_unpruned_visited arena target =
+  let count = ref 0 and visited = ref 0 in
+  let rec go (node : Pr_quadtree.Raw.raw_node) box =
+    incr visited;
+    if Box.intersects box target then
+      match node with
+      | Leaf pts ->
+        List.iter (fun p -> if Box.contains target p then incr count) pts
+      | Node children ->
+        Array.iteri
+          (fun q c -> go c (Box.child box (Quadrant.of_index q)))
+          children
+  in
+  go (Pr_quadtree.Raw.root (Pr_arena.freeze arena)) Box.unit;
+  (!count, !visited)
+
+let count_in_box_unpruned arena b = fst (count_in_box_unpruned_visited arena b)
+let query_box_unpruned arena b = Pr_quadtree.query_box (Pr_arena.freeze arena) b
+
+(* Random boxes, half of them unions of whole dyadic cells at depth 1..6
+   — targets whose edges coincide with cell edges, where containment
+   drains whole subtrees and any reordering would show. *)
+let gen_pruning_box =
+  QCheck2.Gen.(
+    let* dyadic = bool in
+    if not dyadic then gen_box
+    else
+      let* depth = int_range 1 6 in
+      let cells = 1 lsl depth in
+      let* x0 = int_bound (cells - 1) in
+      let* y0 = int_bound (cells - 1) in
+      let* w = int_range 1 (cells - x0) in
+      let* h = int_range 1 (cells - y0) in
+      let at k = ldexp (float_of_int k) (-depth) in
+      return
+        (Box.make ~xmin:(at x0) ~ymin:(at y0) ~xmax:(at (x0 + w))
+           ~ymax:(at (y0 + h))))
 
 let dup_arena ~copies =
   (* A duplicate chain saturated past the split depth: every copy of
@@ -204,20 +275,20 @@ let dup_arena ~copies =
 let pruning_tests =
   [
     prop ~count:100 "query_box ≡ query_box_unpruned (exact order)"
-      QCheck2.Gen.(pair gen_pair gen_box)
+      QCheck2.Gen.(pair gen_pair gen_pruning_box)
       (fun ((arena, _), b) ->
         (* Element-for-element, not as multisets: the bulk subtree drain
            must emit exactly the sequence the per-leaf walk does. *)
-        Pr_arena.query_box arena b = Pr_arena.query_box_unpruned arena b);
+        Pr_arena.query_box arena b = query_box_unpruned arena b);
     prop ~count:100 "count_in_box ≡ count_in_box_unpruned"
-      QCheck2.Gen.(pair gen_pair gen_box)
+      QCheck2.Gen.(pair gen_pair gen_pruning_box)
       (fun ((arena, _), b) ->
-        Pr_arena.count_in_box arena b = Pr_arena.count_in_box_unpruned arena b);
+        Pr_arena.count_in_box arena b = count_in_box_unpruned arena b);
     prop ~count:80 "pruned visits ≤ unpruned visits, same count"
-      QCheck2.Gen.(pair gen_pair gen_box)
+      QCheck2.Gen.(pair gen_pair gen_pruning_box)
       (fun ((arena, _), b) ->
-        let count_p, visited_p = Pr_arena.count_in_box_visited arena b in
-        let count_u, visited_u = Pr_arena.count_in_box_unpruned_visited arena b in
+        let count_p, visited_p = count_in_box_visited arena b in
+        let count_u, visited_u = count_in_box_unpruned_visited arena b in
         count_p = count_u && visited_p <= visited_u && visited_p >= 1);
     Alcotest.test_case "half-open edges: low edge in, high edge out" `Quick
       (fun () ->
@@ -256,19 +327,19 @@ let pruning_tests =
         in
         let arena = Pr_arena.of_points_bulk ~capacity:2 pts in
         let b = Box.make ~xmin:0.25 ~ymin:0.25 ~xmax:0.5 ~ymax:0.5 in
-        check_int "count agrees" (Pr_arena.count_in_box_unpruned arena b)
+        check_int "count agrees" (count_in_box_unpruned arena b)
           (Pr_arena.count_in_box arena b);
         check_bool "range agrees" true
-          (Pr_arena.query_box arena b = Pr_arena.query_box_unpruned arena b);
-        let _, visited_p = Pr_arena.count_in_box_visited arena b in
-        let _, visited_u = Pr_arena.count_in_box_unpruned_visited arena b in
+          (Pr_arena.query_box arena b = query_box_unpruned arena b);
+        let _, visited_p = count_in_box_visited arena b in
+        let _, visited_u = count_in_box_unpruned_visited arena b in
         check_bool "containment actually pruned" true (visited_p < visited_u));
     Alcotest.test_case "whole unit square counts everything in O(root)" `Quick
       (fun () ->
         let arena = churned_arena ~seed:23 ~base:800 ~ops:1_600 in
         check_int "count = size" (Pr_arena.size arena)
           (Pr_arena.count_in_box arena Box.unit);
-        let _, visited = Pr_arena.count_in_box_visited arena Box.unit in
+        let _, visited = count_in_box_visited arena Box.unit in
         check_int "root containment: one visit" 1 visited);
     Alcotest.test_case "degenerate point and line boxes are empty" `Quick
       (fun () ->
@@ -285,8 +356,7 @@ let pruning_tests =
         List.iter
           (fun b ->
             check_int "count empty" 0 (Pr_arena.count_in_box arena b);
-            check_int "count unpruned empty" 0
-              (Pr_arena.count_in_box_unpruned arena b);
+            check_int "count unpruned empty" 0 (count_in_box_unpruned arena b);
             check_bool "range empty" true (Pr_arena.query_box arena b = []))
           [ point_box; line_box ]);
     Alcotest.test_case "duplicate chain at max depth: count and drain" `Quick
@@ -302,8 +372,7 @@ let pruning_tests =
         let hit = Box.make ~xmin:0.29 ~ymin:0.69 ~xmax:0.31 ~ymax:0.71 in
         let miss = Box.make ~xmin:0.31 ~ymin:0.69 ~xmax:0.33 ~ymax:0.71 in
         check_int "tight box" copies (Pr_arena.count_in_box arena hit);
-        check_int "tight box unpruned" copies
-          (Pr_arena.count_in_box_unpruned arena hit);
+        check_int "tight box unpruned" copies (count_in_box_unpruned arena hit);
         check_int "miss box" 0 (Pr_arena.count_in_box arena miss);
         match Pr_arena.nearest arena (Point.make 0.9 0.1) with
         | Some p ->
@@ -581,17 +650,7 @@ let batch_tests =
         let b1 = run 1 and b2 = run 2 and b4 = run 4 in
         check_bool "jobs 1 = sequential" true (b1 = answers_bytes sequential);
         check_bool "jobs 2 = jobs 1" true (b2 = b1);
-        check_bool "jobs 4 = jobs 1" true (b4 = b1);
-        (* The Morton schedule only reorders computation: turning it off
-           must leave the response bytes untouched at every job
-           count. *)
-        let run_unsorted jobs =
-          Parallel.Pool.with_pool ~jobs (fun pool ->
-              answers_bytes (Server.run_batch ~sort:false pool arena queries))
-        in
-        check_bool "unsorted jobs 1 = sorted" true (run_unsorted 1 = b1);
-        check_bool "unsorted jobs 2 = sorted" true (run_unsorted 2 = b1);
-        check_bool "unsorted jobs 4 = sorted" true (run_unsorted 4 = b1));
+        check_bool "jobs 4 = jobs 1" true (b4 = b1));
   ]
 
 (* The server loop end to end, in process *)
@@ -860,10 +919,10 @@ let telemetry_tests =
                let i = String.length raw / 2 in
                Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xff));
                Bytes.to_string b)));
-    prop ~count:40 "eval_instrumented answers exactly as eval"
+    prop ~count:40 "eval answers alike with telemetry on"
       QCheck2.Gen.(pair gen_pair gen_query)
       (fun ((arena, _), q) ->
-        Server.eval_instrumented arena ~epoch:0 q = Server.eval arena q);
+        with_telemetry (fun () -> Server.eval arena q) = Server.eval arena q);
     Alcotest.test_case "handle Telemetry scrapes a consistent snapshot"
       `Quick (fun () ->
         with_telemetry (fun () ->

@@ -486,7 +486,40 @@ let pr_arena_tests =
             ignore (Pr_arena.create ~capacity:0 ()));
         Alcotest.check_raises "reserve"
           (Invalid_argument "Pr_arena.create: reserve < 0") (fun () ->
-            ignore (Pr_arena.create ~capacity:1 ~reserve:(-1) ())));
+            ignore (Pr_arena.create ~capacity:1 ~reserve:(-1) ()));
+        (* The arena is unit-square-only (no bounds argument exists) and
+           decides every split by integer Morton bits, so its depth
+           limit is the 42-bit fine resolution. *)
+        List.iter
+          (fun max_depth ->
+            Alcotest.check_raises
+              (Printf.sprintf "max_depth %d" max_depth)
+              (Invalid_argument "Pr_arena.create: max_depth outside 0..42")
+              (fun () -> ignore (Pr_arena.create ~capacity:1 ~max_depth ())))
+          [ -1; 43 ];
+        Alcotest.check_raises "bulk max_depth 43"
+          (Invalid_argument "Pr_arena.create: max_depth outside 0..42")
+          (fun () ->
+            ignore (Pr_arena.of_points_bulk ~capacity:1 ~max_depth:43 []));
+        check_int "max_depth 42 accepted" 42
+          (Pr_arena.max_depth (Pr_arena.create ~capacity:1 ~max_depth:42 ())));
+    Alcotest.test_case "thaw refuses trees the arena cannot hold" `Quick
+      (fun () ->
+        let bounds = Box.make ~xmin:(-10.0) ~ymin:(-10.0) ~xmax:10.0 ~ymax:10.0 in
+        let custom =
+          Pr_quadtree.of_points ~bounds ~capacity:1
+            [ Point.make (-3.0) 4.0; Point.make 5.0 (-6.0) ]
+        in
+        Alcotest.check_raises "non-unit bounds"
+          (Invalid_argument "Pr_arena.thaw: tree bounds are not the unit square")
+          (fun () -> ignore (Pr_arena.thaw custom));
+        let deep =
+          Pr_quadtree.of_points ~max_depth:43 ~capacity:1
+            [ Point.make 0.25 0.25 ]
+        in
+        Alcotest.check_raises "max_depth 43"
+          (Invalid_argument "Pr_arena.thaw: tree max_depth exceeds 42")
+          (fun () -> ignore (Pr_arena.thaw deep)));
     Alcotest.test_case "insert outside bounds rejected" `Quick (fun () ->
         let a = Pr_arena.create ~capacity:1 () in
         Alcotest.check_raises "out"
@@ -586,28 +619,6 @@ let pr_arena_tests =
         && Pr_arena.occupancy_histogram bulk
            = Pr_arena.occupancy_histogram inc
         && Pr_arena.check_invariants bulk = []);
-    prop "custom bounds follow the float descent exactly"
-      QCheck2.Gen.(pair (int_range 0 10_000) (int_range 1 5))
-      (fun (seed, capacity) ->
-        (* Non-unit bounds leave the Morton fast path; both arena build
-           paths must still match the reference decomposition. *)
-        let bounds = Box.make ~xmin:(-3.0) ~ymin:2.0 ~xmax:11.0 ~ymax:9.5 in
-        let pts =
-          List.map
-            (fun (p : Point.t) ->
-              Point.make ((p.Point.x *. 14.0) -. 3.0) ((p.Point.y *. 7.5) +. 2.0))
-            (uniform_points seed 200)
-        in
-        let pts = List.filter (Box.contains bounds) pts in
-        let reference = Pr_builder.of_points ~bounds ~capacity pts in
-        let inc = Pr_arena.of_points ~bounds ~capacity pts in
-        let bulk = Pr_arena.of_points_bulk ~bounds ~capacity pts in
-        Pr_quadtree.equal_structure (Pr_arena.freeze inc)
-          (Pr_builder.freeze reference)
-        && Pr_quadtree.equal_structure (Pr_arena.freeze bulk)
-             (Pr_builder.freeze reference)
-        && Pr_arena.check_invariants inc = []
-        && Pr_arena.check_invariants bulk = []);
     prop "incremental statistics match the frozen tree's recomputation"
       QCheck2.Gen.(pair (int_range 0 10_000) (int_range 1 8))
       (fun (seed, capacity) ->
@@ -658,8 +669,8 @@ let pr_arena_tests =
           (Pr_quadtree.size frozen = 5));
     Alcotest.test_case "depth limit beyond the Morton resolution" `Quick
       (fun () ->
-        (* max_depth > Morton.bits exercises the float continuation
-           below the last code bit: near-coincident points separated
+        (* max_depth > Morton.bits exercises the fine-ordinate descent
+           below the hi code word: near-coincident points separated
            only at depth > 21 must still match the reference. *)
         let base = Point.make 0.123456789 0.987654321 in
         let eps = ldexp 1.0 (-24) in
@@ -852,30 +863,6 @@ let pr_arena_churn_tests =
             ignore (Pr_arena.update a (List.hd pts) (Point.make 2.0 0.5)));
         check_bool "failed update mutated nothing" true
           (Pr_quadtree.equal_structure frozen (Pr_arena.freeze a)));
-    prop ~count:30 "churn on custom bounds follows the float descent"
-      QCheck2.Gen.(pair (int_range 0 10_000) (int_range 1 5))
-      (fun (seed, capacity) ->
-        let bounds = Box.make ~xmin:(-3.0) ~ymin:2.0 ~xmax:11.0 ~ymax:9.5 in
-        let scale (p : Point.t) =
-          Point.make ((p.Point.x *. 14.0) -. 3.0) ((p.Point.y *. 7.5) +. 2.0)
-        in
-        let pts = List.map scale (uniform_points seed 80) in
-        let a = Pr_arena.of_points ~bounds ~capacity pts in
-        let rng = Xoshiro.of_int_seed (seed + 3) in
-        (* Delete half the points, reinsert fresh scaled ones. *)
-        let victims = List.filteri (fun i _ -> i mod 2 = 0) pts in
-        let keep = List.filteri (fun i _ -> i mod 2 = 1) pts in
-        List.iter
-          (fun p ->
-            if not (Pr_arena.delete a p) then Alcotest.fail "delete failed")
-          victims;
-        let fresh =
-          List.map scale (Sampler.points rng Sampler.Uniform 40)
-        in
-        Pr_arena.insert_all a fresh;
-        Pr_quadtree.equal_structure (Pr_arena.freeze a)
-          (Pr_quadtree.of_points ~bounds ~capacity (keep @ fresh))
-        && Pr_arena.check_invariants a = []);
     prop ~count:30 "constant-size churn never grows the footprint"
       QCheck2.Gen.(pair (int_range 0 10_000) (int_range 1 6))
       (fun (seed, capacity) ->
@@ -985,9 +972,7 @@ let pr_arena_bulk_tests =
       (fun () ->
         (* Points sharing all 21 coarse bits but differing in bits
            22..30: the build must descend on the lo word — integer
-           arithmetic, no float fallback — and match the reference.
-           With the old single-word keys this shape forced the float
-           path (or, in bulk, a silent incremental fallback). *)
+           arithmetic — and match the reference. *)
         let base = 0.3333333 in
         let pts =
           List.init 6 (fun k ->
