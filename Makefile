@@ -18,7 +18,9 @@ test:
 # Finally the observability smoke: a traced table4 run must leave the
 # table bytes untouched and emit trace + metrics JSON that `popan obs
 # validate` accepts. The allocation gate re-runs the arena regression
-# explicitly: a no-split arena insert must allocate zero minor words.
+# explicitly: a no-split arena insert must allocate zero minor words,
+# and the wire codec must hash a frame without boxing, decode a framed
+# answer allocating only its points, and encode one in O(bytes / word).
 # The bulk smoke: a 2^22-point bulk build must complete on the
 # sort path with no fallback, and the arenas built at jobs 1 and 4 must
 # be byte-identical to the sequential one (compared on encoded frozen
@@ -64,6 +66,24 @@ check: build test
 	else \
 	  echo "alloc smoke FAILED: query integer-descent path allocates"; \
 	  dune exec --no-build test/test_alloc.exe -- test arena 6; exit 1; \
+	fi
+	@if dune exec --no-build test/test_alloc.exe -- test codec 0 >/dev/null 2>&1; then \
+	  echo "alloc smoke: fnv1a64 over 1 MiB allocates at most 16 minor words"; \
+	else \
+	  echo "alloc smoke FAILED: the frame checksum boxes its accumulator"; \
+	  dune exec --no-build test/test_alloc.exe -- test codec 0; exit 1; \
+	fi
+	@if dune exec --no-build test/test_alloc.exe -- test codec 1 >/dev/null 2>&1; then \
+	  echo "alloc smoke: decoding a framed 10k-point answer allocates only its points"; \
+	else \
+	  echo "alloc smoke FAILED: response decode boxes coordinates"; \
+	  dune exec --no-build test/test_alloc.exe -- test codec 1; exit 1; \
+	fi
+	@if dune exec --no-build test/test_alloc.exe -- test codec 2 >/dev/null 2>&1; then \
+	  echo "alloc smoke: encoding a framed 10k-point answer allocates O(bytes / word)"; \
+	else \
+	  echo "alloc smoke FAILED: response encode boxes values or over-copies"; \
+	  dune exec --no-build test/test_alloc.exe -- test codec 2; exit 1; \
 	fi
 	@tmp=$$(mktemp -d); \
 	dune exec --no-build bin/popan.exe -- table4 -j 1 > $$tmp/seq.txt; \

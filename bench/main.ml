@@ -20,6 +20,7 @@ module Ext_hash = Popan_trees.Ext_hash
 module Sampler = Popan_rng.Sampler
 module Xoshiro = Popan_rng.Xoshiro
 module Store = Popan_store.Artifact_store
+module Codec = Popan_store.Codec
 module Probe = Popan_obs.Probe
 module Metrics = Popan_obs.Metrics
 module Event = Popan_obs.Event
@@ -800,6 +801,37 @@ let bench_serve_telemetry =
              Sys.opaque_identity
                (Server.run_batch ~epoch:0 pool serve_arena serve_queries))))
 
+(* The wire codec on a serve-range-sized response: 1024 [Points]
+   answers of 92 points each, 94,208 points and about 1.5 MB framed —
+   the shape of one serve-range-64k batch. Encode is the server's
+   framing of the response, decode the client's validation and read of
+   it. *)
+let wire_answers =
+  let rng = Xoshiro.of_int_seed 6464 in
+  Wire.Answers
+    {
+      epoch = 0;
+      answers =
+        Array.init 1_024 (fun _ ->
+            Wire.Points (Array.of_list (Sampler.points rng Sampler.Uniform 92)));
+    }
+
+let encode_answers () =
+  Codec.to_artifact ~kind:Wire.response_kind ~version:Wire.version
+    ~key:"serve" Wire.response wire_answers
+
+let bench_wire_encode =
+  Test.make ~name:"wire:encode Answers 94208 points (1024 answers)"
+    (Staged.stage (fun () -> Sys.opaque_identity (encode_answers ())))
+
+let bench_wire_decode =
+  let frame = encode_answers () in
+  Test.make ~name:"wire:decode Answers 94208 points (1024 answers)"
+    (Staged.stage (fun () ->
+         Sys.opaque_identity
+           (Codec.of_artifact ~kind:Wire.response_kind ~version:Wire.version
+              Wire.response frame)))
+
 (* The PR 10 query-kernel ablation: containment pruning priced against
    an unpruned walk at three selectivities (the fraction of the unit
    square the target covers). The larger the box, the more whole
@@ -984,6 +1016,7 @@ let all_benches =
       bench_serve_jobs 1; bench_serve_jobs 2; bench_serve_jobs 4;
       bench_serve_freeze_then_query;
       bench_serve_telemetry;
+      bench_wire_encode; bench_wire_decode;
       bench_count_pruned (List.nth sel_boxes 0);
       bench_count_frozen_walk (List.nth sel_boxes 0);
       bench_count_pruned (List.nth sel_boxes 1);

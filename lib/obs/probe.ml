@@ -306,6 +306,7 @@ let serve_knn_queries = Metrics.counter "serve.queries.knn"
 let serve_nearest_queries = Metrics.counter "serve.queries.nearest"
 let serve_cell_queries = Metrics.counter "serve.queries.cell"
 let serve_malformed_frames = Metrics.counter "serve.malformed.frames"
+let serve_oversize_responses = Metrics.counter "serve.oversize.responses"
 
 (* Subtrees answered wholesale by containment pruning in the range/count
    kernels — a pure function of tree shape and query, hence stable;
@@ -432,6 +433,11 @@ let serve_malformed ~reason =
   Metrics.incr serve_malformed_frames;
   Event.emit ~level:Event.Warn "serve.refused"
     [ ("reason", Event.Str reason) ]
+
+let serve_oversize ~bytes =
+  Metrics.incr serve_oversize_responses;
+  Event.emit ~level:Event.Warn "serve.oversize"
+    [ ("bytes", Event.Int bytes) ]
 
 let serve_shutdown ~batches ~epoch =
   Event.emit "serve.shutdown"

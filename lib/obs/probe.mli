@@ -246,6 +246,12 @@ val serve_epoch_batch : age:int -> unit
     [Warn]. *)
 val serve_malformed : reason:string -> unit
 
+(** [serve_oversize ~bytes] counts a response the server refused to
+    write because its [bytes]-long frame exceeds the wire's frame limit
+    ([serve.oversize.responses]) and emits a [serve.oversize] event at
+    [Warn]. *)
+val serve_oversize : bytes:int -> unit
+
 (** [serve_shutdown ~batches ~epoch] emits the [serve.shutdown]
     lifecycle event as the request loop exits. *)
 val serve_shutdown : batches:int -> epoch:int -> unit

@@ -211,8 +211,7 @@ let response =
 
 let max_frame = 1 lsl 26 (* 64 MiB: refuse absurd prefixes outright *)
 
-let write_frame oc ~kind codec v =
-  let s = Codec.to_artifact ~kind ~version ~key:frame_key codec v in
+let write_raw oc s =
   let n = String.length s in
   output_byte oc ((n lsr 24) land 0xff);
   output_byte oc ((n lsr 16) land 0xff);
@@ -220,6 +219,9 @@ let write_frame oc ~kind codec v =
   output_byte oc (n land 0xff);
   output_string oc s;
   flush oc
+
+let frame ~kind codec v = Codec.to_artifact ~kind ~version ~key:frame_key codec v
+let write_frame oc ~kind codec v = write_raw oc (frame ~kind codec v)
 
 let read_frame ic ~kind codec =
   match input_byte ic with
@@ -242,5 +244,17 @@ let read_frame ic ~kind codec =
 
 let write_request oc r = write_frame oc ~kind:request_kind request r
 let read_request ic = read_frame ic ~kind:request_kind request
-let write_response oc r = write_frame oc ~kind:response_kind response r
+(* A response is framed before a byte of it is written, so its length
+   is known up front. One the peer's [read_frame] would refuse is
+   replaced by a short [Refused], which it can read. *)
+let write_response oc r =
+  let s = frame ~kind:response_kind response r in
+  let n = String.length s in
+  if n <= max_frame then write_raw oc s
+  else begin
+    Probe.serve_oversize ~bytes:n;
+    write_frame oc ~kind:response_kind response
+      (Refused (Printf.sprintf "response of %d bytes exceeds frame limit" n))
+  end
+
 let read_response ic = read_frame ic ~kind:response_kind response

@@ -73,6 +73,10 @@ val answer : answer Codec.t
 val telemetry : telemetry Codec.t
 val response : response Codec.t
 
+(** The largest frame either side reads, 64 MiB: a length prefix above
+    it is refused before any of the frame is read. *)
+val max_frame : int
+
 (** [write_frame oc ~kind codec v] frames and writes [v], then flushes. *)
 val write_frame : out_channel -> kind:string -> 'a Codec.t -> 'a -> unit
 
@@ -85,5 +89,11 @@ val read_frame :
 
 val write_request : out_channel -> request -> unit
 val read_request : in_channel -> (request, string) result option
+
+(** [write_response oc r] frames and writes [r]. A frame longer than
+    {!max_frame}, which the peer would refuse, is not written: it is
+    counted ({!Probe.serve_oversize}) and replaced by
+    [Refused "response of N bytes exceeds frame limit"]. *)
 val write_response : out_channel -> response -> unit
+
 val read_response : in_channel -> (response, string) result option

@@ -59,25 +59,26 @@ let bool =
 
 (* Unsigned LEB128 over the full 63-bit word (an int with the sign bit
    set is written as the corresponding large unsigned value, which is
-   what zigzagged [min_int]-adjacent values produce). *)
+   what zigzagged [min_int]-adjacent values produce). Both directions
+   are closure-free loops: a local recursive helper would capture the
+   buffer or cursor and allocate a closure per varint. *)
 let write_uvarint buffer n =
-  let rec go n =
-    if n lsr 7 = 0 then Buffer.add_char buffer (Char.chr n)
-    else begin
-      Buffer.add_char buffer (Char.chr (0x80 lor (n land 0x7f)));
-      go (n lsr 7)
-    end
-  in
-  go n
+  let n = ref n in
+  while !n lsr 7 <> 0 do
+    Buffer.add_char buffer (Char.unsafe_chr (0x80 lor (!n land 0x7f)));
+    n := !n lsr 7
+  done;
+  Buffer.add_char buffer (Char.unsafe_chr !n)
 
 let read_uvarint cur =
-  let rec go shift acc =
-    if shift > 62 then fail "varint too long";
+  let acc = ref 0 and shift = ref 0 and more = ref true in
+  while !more do
+    if !shift > 62 then fail "varint too long";
     let b = read_byte cur in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  go 0 0
+    acc := !acc lor ((b land 0x7f) lsl !shift);
+    if b land 0x80 = 0 then more := false else shift := !shift + 7
+  done;
+  !acc
 
 (* Zigzag: small magnitudes of either sign stay small on disk. *)
 let int =
@@ -89,29 +90,39 @@ let int =
         (z lsr 1) lxor (-(z land 1)));
   }
 
+(* Fixed-width words move as one little-endian load or store. A reader
+   checks the remaining length once per value (once per point or box,
+   not per word), then reads in place. [word] alone checks only against
+   the end of the whole string, past the cursor's limit, so it always
+   runs behind [need]. The float codecs convert with the bit-cast
+   primitives, so no [int64] is boxed between a float and the bytes in
+   either direction. *)
+let need cur n = if cur.limit - cur.pos < n then fail "unexpected end of input"
+let word cur off = String.get_int64_le cur.data (cur.pos + off)
+
+let[@inline] add_float buffer x =
+  Buffer.add_int64_le buffer (Int64.bits_of_float x)
+
 let int64 =
   {
-    write =
-      (fun buffer v ->
-        for i = 0 to 7 do
-          Buffer.add_char buffer
-            (Char.chr
-               (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff))
-        done);
+    write = Buffer.add_int64_le;
     read =
       (fun cur ->
-        let v = ref 0L in
-        for i = 0 to 7 do
-          let b = read_byte cur in
-          v := Int64.logor !v (Int64.shift_left (Int64.of_int b) (8 * i))
-        done;
-        !v);
+        need cur 8;
+        let v = word cur 0 in
+        cur.pos <- cur.pos + 8;
+        v);
   }
 
 let float =
   {
-    write = (fun buffer x -> int64.write buffer (Int64.bits_of_float x));
-    read = (fun cur -> Int64.float_of_bits (int64.read cur));
+    write = add_float;
+    read =
+      (fun cur ->
+        need cur 8;
+        let x = Int64.float_of_bits (word cur 0) in
+        cur.pos <- cur.pos + 8;
+        x);
   }
 
 let string =
@@ -213,19 +224,22 @@ let map c ~decode:f ~encode:g =
 (* A tagged union: one byte of case tag, then the selected case's
    payload. [map] cannot express sum types (it needs a total inverse);
    this is the variant-codec builder the wire protocol's request and
-   response types are built from. *)
+   response types are built from. The cases sit in a 256-slot table
+   indexed by tag, so dispatch is one load in either direction. *)
 let choice ~tag cases =
+  let table = Array.make 256 None in
   List.iter
-    (fun (t, _) ->
+    (fun (t, c) ->
       if t < 0 || t > 255 then invalid_arg "Codec.choice: tag out of range";
-      if List.length (List.filter (fun (u, _) -> u = t) cases) > 1 then
-        invalid_arg (Printf.sprintf "Codec.choice: duplicate tag %d" t))
+      if table.(t) <> None then
+        invalid_arg (Printf.sprintf "Codec.choice: duplicate tag %d" t);
+      table.(t) <- Some c)
     cases;
   {
     write =
       (fun buffer v ->
         let t = tag v in
-        match List.assoc_opt t cases with
+        match if t >= 0 && t <= 255 then table.(t) else None with
         | None -> invalid_arg (Printf.sprintf "Codec.choice: unknown tag %d" t)
         | Some c ->
           Buffer.add_char buffer (Char.chr t);
@@ -233,40 +247,50 @@ let choice ~tag cases =
     read =
       (fun cur ->
         let t = read_byte cur in
-        match List.assoc_opt t cases with
+        match table.(t) with
         | None -> fail "bad choice tag %d" t
         | Some c -> c.read cur);
   }
 
 (* Domain codecs *)
 
+(* A point is two words behind one length check. Non-finite coordinates
+   are refused, as [box] refuses a degenerate extent: no structure in
+   this library holds a NaN or infinite point, and a query on one has
+   no defined answer. *)
 let point =
   {
     write =
       (fun buffer (p : Point.t) ->
-        float.write buffer p.Point.x;
-        float.write buffer p.Point.y);
+        add_float buffer p.Point.x;
+        add_float buffer p.Point.y);
     read =
       (fun cur ->
-        let x = float.read cur in
-        let y = float.read cur in
-        Point.make x y);
+        need cur 16;
+        let x = Int64.float_of_bits (word cur 0) in
+        let y = Int64.float_of_bits (word cur 8) in
+        if not (Float.is_finite x && Float.is_finite y) then
+          fail "non-finite point (%g, %g)" x y;
+        cur.pos <- cur.pos + 16;
+        { Point.x; y });
   }
 
 let box =
   {
     write =
       (fun buffer (b : Box.t) ->
-        float.write buffer b.Box.xmin;
-        float.write buffer b.Box.ymin;
-        float.write buffer b.Box.xmax;
-        float.write buffer b.Box.ymax);
+        add_float buffer b.Box.xmin;
+        add_float buffer b.Box.ymin;
+        add_float buffer b.Box.xmax;
+        add_float buffer b.Box.ymax);
     read =
       (fun cur ->
-        let xmin = float.read cur in
-        let ymin = float.read cur in
-        let xmax = float.read cur in
-        let ymax = float.read cur in
+        need cur 32;
+        let xmin = Int64.float_of_bits (word cur 0) in
+        let ymin = Int64.float_of_bits (word cur 8) in
+        let xmax = Int64.float_of_bits (word cur 16) in
+        let ymax = Int64.float_of_bits (word cur 24) in
+        cur.pos <- cur.pos + 32;
         match Box.make ~xmin ~ymin ~xmax ~ymax with
         | b -> b
         | exception Invalid_argument msg -> fail "bad box: %s" msg);
@@ -286,18 +310,19 @@ let xoshiro =
   }
 
 let pr_quadtree =
+  let points = list point in
   let rec write_node buffer node =
     match node with
     | Pr_quadtree.Raw.Leaf pts ->
       Buffer.add_char buffer '\000';
-      (list point).write buffer pts
+      points.write buffer pts
     | Pr_quadtree.Raw.Node children ->
       Buffer.add_char buffer '\001';
       Array.iter (write_node buffer) children
   in
   let rec read_node cur =
     match read_byte cur with
-    | 0 -> Pr_quadtree.Raw.Leaf ((list point).read cur)
+    | 0 -> Pr_quadtree.Raw.Leaf (points.read cur)
     | 1 -> Pr_quadtree.Raw.Node (Array.init 4 (fun _ -> read_node cur))
     | b -> fail "bad node tag %d" b
   in
@@ -326,13 +351,20 @@ let pr_quadtree =
 let magic = "PSTO"
 let container_version = 1
 
-let fnv1a64 s =
+(* FNV-1a 64 over [len] bytes of [b] from [off]: a plain loop with no
+   closure, so the accumulator stays an unboxed register and a frame of
+   any size is hashed with a constant handful of words. *)
+let fnv1a64_sub b off len =
   let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
+  for i = off to off + len - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get b i))))
+        0x100000001b3L
+  done;
   !h
+
+let fnv1a64 s = fnv1a64_sub (Bytes.unsafe_of_string s) 0 (String.length s)
 
 type error =
   | Bad_magic
@@ -361,31 +393,38 @@ let error_to_string = function
   | Trailing_garbage -> "trailing bytes after checksum"
   | Malformed msg -> "malformed payload: " ^ msg
 
+(* The payload is encoded once; the header, which ends with the payload
+   length, is built after it. The frame is then allocated at its exact
+   size and the payload copied into it once, and the checksum is
+   computed over the frame in place. *)
 let to_artifact ~kind ~version ~key codec v =
-  let buffer = Buffer.create 1024 in
-  Buffer.add_string buffer magic;
-  write_uvarint buffer container_version;
-  string.write buffer kind;
-  write_uvarint buffer version;
-  string.write buffer key;
-  let payload = encode codec v in
-  write_uvarint buffer (String.length payload);
-  Buffer.add_string buffer payload;
-  int64.write buffer (fnv1a64 (Buffer.contents buffer));
-  Buffer.contents buffer
+  let payload = Buffer.create 1024 in
+  codec.write payload v;
+  let len = Buffer.length payload in
+  let header = Buffer.create 64 in
+  Buffer.add_string header magic;
+  write_uvarint header container_version;
+  string.write header kind;
+  write_uvarint header version;
+  string.write header key;
+  write_uvarint header len;
+  let body = Buffer.length header + len in
+  let frame = Bytes.create (body + 8) in
+  Buffer.blit header 0 frame 0 (Buffer.length header);
+  Buffer.blit payload 0 frame (Buffer.length header) len;
+  Bytes.set_int64_le frame body (fnv1a64_sub frame 0 body);
+  Bytes.unsafe_to_string frame
 
 (* Validate the frame of [s]; on success return (kind, version, key) and
    the payload extent. Shared by [of_artifact] and [probe]. *)
 let check_frame s =
   let n = String.length s in
   if n < String.length magic + 8 then Error Truncated
-  else if String.sub s 0 (String.length magic) <> magic then Error Bad_magic
+  else if not (String.starts_with ~prefix:magic s) then Error Bad_magic
   else begin
-    let body = String.sub s 0 (n - 8) in
-    let stored =
-      (decode int64 (String.sub s (n - 8) 8) : int64)
-    in
-    if not (Int64.equal stored (fnv1a64 body)) then Error Checksum_mismatch
+    let stored = String.get_int64_le s (n - 8) in
+    let computed = fnv1a64_sub (Bytes.unsafe_of_string s) 0 (n - 8) in
+    if not (Int64.equal stored computed) then Error Checksum_mismatch
     else begin
       let cur = { data = s; pos = String.length magic; limit = n - 8 } in
       match

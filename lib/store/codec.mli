@@ -25,7 +25,13 @@ open Import
 
     Floats are stored as their IEEE-754 bit patterns ([Int64.bits_of_float]),
     so every round-trip is bit-exact — the property the byte-identical
-    caching contract rests on. *)
+    caching contract rests on.
+
+    {b Cost.} Fixed-width values move as single 8-byte little-endian
+    loads and stores, with one remaining-length check per value (per
+    point, per box), and nothing is boxed on the way. Framing encodes
+    the payload once and copies it once into the frame; the checksum
+    is computed in place, on write and on verify, without allocating. *)
 
 type 'a t
 
@@ -92,7 +98,14 @@ val choice : tag:('a -> int) -> (int * 'a t) list -> 'a t
 
 (** {1 Domain codecs} *)
 
+(** [point] is the two coordinates as {!float}s. Decoding refuses a
+    non-finite coordinate (NaN or an infinity) as malformed input: no
+    structure here holds such a point, and no query on one has a
+    defined answer. *)
 val point : Point.t t
+
+(** [box] is [xmin], [ymin], [xmax], [ymax] as {!float}s. Decoding
+    refuses an extent {!Box.make} refuses, NaN included. *)
 val box : Box.t t
 
 (** [xoshiro] serializes a generator's full 256-bit state; decoding

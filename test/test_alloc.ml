@@ -339,5 +339,118 @@ let serve_tests =
             large (large /. small) small publish_bound);
   ]
 
+(* The wire codec moves fixed-width values as single 8-byte loads and
+   stores and hashes frames in place, so its allocation is the decoded
+   values and the frame itself, never a boxed word per byte or per
+   float. The three gates meter the checksum, a framed 10,000-point
+   [Points] answer's decode, and its encode. *)
+
+module Codec = Popan_store.Codec
+module Wire = Popan_serve.Wire
+
+let answer_points = 10_000
+
+let points_frame () =
+  let pts =
+    Array.of_list
+      (Sampler.points (Xoshiro.of_int_seed 5) Sampler.Uniform answer_points)
+  in
+  let response = Wire.Answers { epoch = 1; answers = [| Wire.Points pts |] } in
+  let encode () =
+    Codec.to_artifact ~kind:Wire.response_kind ~version:Wire.version
+      ~key:"serve" Wire.response response
+  in
+  let decode frame =
+    match
+      Codec.of_artifact ~kind:Wire.response_kind ~version:Wire.version
+        Wire.response frame
+    with
+    | Ok (Wire.Answers { answers = [| Wire.Points ps |]; _ }) -> ps
+    | Ok _ -> Alcotest.fail "decoded to a different response"
+    | Error e -> Alcotest.fail (Codec.error_to_string e)
+  in
+  (encode, decode)
+
+(* Every word allocated, minor or directly in the major heap (large
+   strings and arrays go there), from [Gc.quick_stat]. *)
+let measure_all f =
+  let total () =
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let before = total () in
+  f ();
+  total () -. before
+
+let codec_tests =
+  [
+    Alcotest.test_case "fnv1a64 of 1 MiB allocates at most 16 minor words"
+      `Quick (fun () ->
+        if not native then print_endline "skipped: bytecode boxes int64s"
+        else begin
+          let s = String.init (1 lsl 20) (fun i -> Char.chr (i land 0xff)) in
+          ignore (Codec.fnv1a64 s : int64);
+          let words = measure (fun () -> ignore (Codec.fnv1a64 s : int64)) in
+          if words > 16.0 then
+            Alcotest.failf
+              "fnv1a64 over 1 MiB allocated %.0f minor words; the hash \
+               loop must not box its accumulator"
+              words
+        end);
+    Alcotest.test_case "decoding a 10k-point answer allocates only its points"
+      `Quick (fun () ->
+        if not native then print_endline "skipped: bytecode boxes floats"
+        else begin
+          let encode, decode = points_frame () in
+          let frame = encode () in
+          ignore (decode frame : _ array);
+          let n = ref 0 in
+          let words =
+            measure (fun () -> n := Array.length (decode frame))
+          in
+          Alcotest.check Alcotest.int "all points" answer_points !n;
+          (* Three words per point (header and two unboxed floats); the
+             array itself is allocated directly in the major heap. *)
+          let bound = float_of_int ((3 * answer_points) + 1_024) in
+          if words > bound then
+            Alcotest.failf
+              "decoding %d points allocated %.0f minor words (%.2f per \
+               point, bound %.0f): a coordinate is boxed on the way"
+              answer_points words
+              (words /. float_of_int answer_points)
+              bound
+        end);
+    Alcotest.test_case "encoding a 10k-point answer allocates O(bytes / word)"
+      `Quick (fun () ->
+        if not native then print_endline "skipped: bytecode boxes floats"
+        else begin
+          let encode, _ = points_frame () in
+          let bytes = String.length (encode ()) in
+          let minor = measure (fun () -> ignore (encode () : string)) in
+          let total = measure_all (fun () -> ignore (encode () : string)) in
+          let words = float_of_int (bytes / 8) in
+          Printf.printf
+            "%d-byte frame: %.0f minor words, %.0f words in all (%.2f x \
+             bytes / word)\n"
+            bytes minor total (total /. words);
+          (* The payload buffer's doublings (under four times the
+             payload) plus the one frame-sized copy stay well under
+             eight words per eight bytes. A codec that boxes an int64 per
+             float and copies the payload five times allocates about
+             35. *)
+          if minor > 1_024.0 then
+            Alcotest.failf
+              "encoding a %d-byte frame allocated %.0f minor words: values \
+               are boxed on the way to the buffer"
+              bytes minor;
+          if total > (8.0 *. words) +. 1_024.0 then
+            Alcotest.failf
+              "encoding a %d-byte frame allocated %.0f words, %.2f x \
+               bytes / word (bound 8): the payload is copied too often"
+              bytes total (total /. words)
+        end);
+  ]
+
 let () =
-  Alcotest.run "popan_alloc" [ ("arena", tests); ("serve", serve_tests) ]
+  Alcotest.run "popan_alloc"
+    [ ("arena", tests); ("serve", serve_tests); ("codec", codec_tests) ]

@@ -999,6 +999,386 @@ let telemetry_tests =
                 | _ -> Alcotest.fail "bad telemetry response")));
   ]
 
+(* Golden frame bytes: the MD5 of every frame below, length prefix
+   included, as the wire writes it. The digests pin the frame format
+   itself — header, varints, float bit patterns, checksum — so any
+   change to the codec that alters a single byte on the wire fails
+   here, however the round-trip tests fare. *)
+
+let write_file path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let wire_bytes write v =
+  let path = Filename.temp_file "popan" ".frame" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let oc = open_out_bin path in
+      write oc v;
+      close_out oc;
+      read_file path)
+
+let golden_box = Box.make ~xmin:0.1 ~ymin:0.25 ~xmax:0.7 ~ymax:(1.0 /. 3.0)
+
+let golden_frames () =
+  let p x y = Point.make x y in
+  let request r = wire_bytes Wire.write_request r in
+  let response r = wire_bytes Wire.write_response r in
+  [
+    ( "batch request",
+      request
+        (Wire.Batch
+           [|
+             Wire.Range golden_box;
+             Wire.Count Box.unit;
+             Wire.Knn (7, p 0.1 0.2);
+             Wire.Nearest (p 0.3 0.9);
+             Wire.Cell (p 0.5 (2.0 /. 3.0));
+           |]),
+      "8283fd271d533dce0a457d9e61ee0bc7" );
+    ("stats request", request Wire.Stats, "d165c2eb5002e12ee578947e92261d8c");
+    ("quit request", request Wire.Quit, "8a8a941d83a8d1f3691e8b9e4073be22");
+    ( "answers response",
+      response
+        (Wire.Answers
+           {
+             epoch = 5;
+             answers =
+               [|
+                 Wire.Points [| p 0.1 0.2; p 0.75 (1.0 /. 7.0); p 0.0 0.999 |];
+                 Wire.Points [||];
+                 Wire.Count_of 12_345;
+                 Wire.Count_of max_int;
+                 Wire.Cell_info (3, golden_box, [| p 0.125 0.3 |]);
+                 Wire.Rejected "k must be positive";
+               |];
+           }),
+      "b3d642cb3e15ff91f792bd72e64046b8" );
+    ( "stats response",
+      response
+        (Wire.Stats_info
+           { epoch = 2; size = 65_536; batches = 17; live_epochs = 2 }),
+      "825e66dd61eaf7ee0c0fd83c98e3cab6" );
+    ( "refused response",
+      response (Wire.Refused "truncated frame"),
+      "b5a0b72addc145b96f63d2a7b8482c39" );
+    ("bye response", response Wire.Bye, "c12d83366c0bfebc6b28499d0f9a409f");
+    ( "telemetry response",
+      response (Wire.Telemetry_info (sample_telemetry ())),
+      "f69af1dc0bb8ff9e4ff78620b2891fbd" );
+  ]
+
+let golden_tests =
+  [
+    Alcotest.test_case "golden frame bytes are unchanged" `Quick (fun () ->
+        List.iter
+          (fun (what, bytes, digest) ->
+            Alcotest.(check string)
+              what digest
+              (Digest.to_hex (Digest.string bytes)))
+          (golden_frames ()));
+  ]
+
+(* Hostile input. A conversation is fed from a file and answered into
+   another, so a test sees exactly the bytes a socket client would. *)
+
+(* Every response frame in [bytes], in order. A frame that does not
+   read back fails the test: the server only ever writes typed
+   responses. *)
+let responses_of_bytes path bytes =
+  write_file path bytes;
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () ->
+      let rec loop acc =
+        match Wire.read_response ic with
+        | None -> List.rev acc
+        | Some (Ok r) -> loop (r :: acc)
+        | Some (Error e) -> Alcotest.failf "unreadable response frame: %s" e
+      in
+      loop [])
+
+(* One conversation over [input]: whether it ended on [Quit], the
+   responses written, and its wall time in seconds. *)
+let converse ~scratch t input =
+  let inp = scratch ^ ".in" and out = scratch ^ ".out" in
+  write_file inp input;
+  let ic = open_in_bin inp and oc = open_out_bin out in
+  let t0 = Unix.gettimeofday () in
+  let quit =
+    Fun.protect
+      ~finally:(fun () ->
+        close_in ic;
+        close_out oc)
+      (fun () -> Server.serve_channels t ic oc)
+  in
+  let seconds = Unix.gettimeofday () -. t0 in
+  (quit, responses_of_bytes inp (read_file out), seconds)
+
+let with_scratch f =
+  let scratch = Filename.temp_file "popan" ".conv" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ scratch; scratch ^ ".in"; scratch ^ ".out" ])
+    (fun () -> f scratch)
+
+let with_static_server f =
+  let t =
+    Server.create
+      {
+        Server.default_config with
+        base_points = 300;
+        churn_ops = 0;
+        jobs = Some 1;
+      }
+  in
+  Fun.protect ~finally:(fun () -> Server.shutdown t) (fun () -> f t)
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  at 0
+
+(* The wire fuzzer. Mutations apply to a request's payload, which is
+   then framed again with a correct header, length and checksum, so the
+   payload decoder itself is reached instead of the checksum refusing
+   the frame; a second family lies in the 4-byte length prefix. *)
+
+let uvarint n =
+  let b = Buffer.create 10 in
+  let n = ref n in
+  while !n lsr 7 <> 0 do
+    Buffer.add_char b (Char.chr (0x80 lor (!n land 0x7f)));
+    n := !n lsr 7
+  done;
+  Buffer.add_char b (Char.chr !n);
+  Buffer.contents b
+
+let be32 n = String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff))
+
+let with_prefix frame = be32 (String.length frame) ^ frame
+
+let frame_key =
+  lazy
+    (let raw = wire_bytes Wire.write_request Wire.Stats in
+     match Codec.probe (String.sub raw 4 (String.length raw - 4)) with
+     | Ok (_, _, key) -> key
+     | Error e -> Alcotest.fail (Codec.error_to_string e))
+
+let reframe payload =
+  let field s = uvarint (String.length s) ^ s in
+  let body =
+    String.concat ""
+      [
+        "PSTO";
+        uvarint 1;
+        field Wire.request_kind;
+        uvarint Wire.version;
+        field (Lazy.force frame_key);
+        field payload;
+      ]
+  in
+  let sum = Bytes.create 8 in
+  Bytes.set_int64_le sum 0 (Codec.fnv1a64 body);
+  with_prefix (body ^ Bytes.to_string sum)
+
+let fuzz_batch =
+  [|
+    Wire.Range golden_box;
+    Wire.Count Box.unit;
+    Wire.Knn (5, Point.make 0.1 0.2);
+    Wire.Nearest (Point.make 0.3 0.9);
+    Wire.Cell (Point.make 0.5 0.25);
+    Wire.Knn (0, Point.make 0.7 0.7);
+  |]
+
+let splice s i len repl =
+  String.sub s 0 i ^ repl ^ String.sub s (i + len) (String.length s - i - len)
+
+let set_byte s i c = splice s i 1 (String.make 1 (Char.chr c))
+
+(* Two families of wire inputs: every one of the first is malformed
+   and must be answered [Refused]; the second may or may not decode. *)
+let fuzz_cases () =
+  let rng = Xoshiro.of_int_seed 0xf022 in
+  let batch = Codec.encode Wire.request (Wire.Batch fuzz_batch) in
+  let simple =
+    List.map (Codec.encode Wire.request)
+      [ Wire.Stats; Wire.Telemetry; Wire.Quit ]
+  in
+  let payloads = batch :: simple in
+  (* Byte offsets of the query tags: the request tag, the count, then
+     each query's encoding in turn. *)
+  let query_tags =
+    let off = ref (1 + String.length (uvarint (Array.length fuzz_batch))) in
+    Array.to_list
+      (Array.map
+         (fun q ->
+           let at = !off in
+           off := at + String.length (Codec.encode Wire.query q);
+           at)
+         fuzz_batch)
+  in
+  let knn_k = List.nth query_tags 2 + 1 in
+  let malformed =
+    List.concat
+      [
+        (* truncation at every length *)
+        List.concat_map
+          (fun p -> List.init (String.length p) (fun len -> String.sub p 0 len))
+          payloads;
+        (* unknown request tags *)
+        List.init 252 (fun t -> set_byte batch 0 (t + 4));
+        (* unknown query tags, at every query *)
+        List.concat_map
+          (fun at -> List.init 251 (fun t -> set_byte batch at (t + 5)))
+          query_tags;
+        (* over-long varints: ten continuation bytes, as the batch
+           count and as a k-NN's k *)
+        [
+          splice batch 1 1 (String.make 10 '\xff' ^ "\x01");
+          splice batch knn_k 1 (String.make 10 '\xff' ^ "\x01");
+        ];
+        (* lying counts: more queries than the payload holds *)
+        List.map
+          (fun n -> splice batch 1 1 (uvarint n))
+          [ 7; 100; 1 lsl 20; max_int ];
+        (* trailing bytes after a whole request *)
+        List.map (fun p -> p ^ "\x00") payloads;
+      ]
+  in
+  let maybe =
+    List.concat
+      [
+        (* every single-bit flip of the batch *)
+        List.concat_map
+          (fun i ->
+            List.init 8 (fun bit ->
+                set_byte batch i (Char.code batch.[i] lxor (1 lsl bit))))
+          (List.init (String.length batch) Fun.id);
+        (* fewer queries than the payload holds *)
+        List.map (fun n -> splice batch 1 1 (uvarint n)) [ 0; 1; 5 ];
+        (* huge and negative k, as well-formed varints *)
+        List.map
+          (fun k -> splice batch knn_k 1 (Codec.encode Codec.int k))
+          [ max_int; min_int; -1; 1 lsl 40 ];
+        (* random garbage *)
+        List.init 200 (fun _ ->
+            String.init (Xoshiro.int rng 64) (fun _ ->
+                Char.chr (Xoshiro.int rng 256)));
+      ]
+  in
+  let valid = reframe batch in
+  let frame = String.sub valid 4 (String.length valid - 4) in
+  let n = String.length frame in
+  let lying_prefixes =
+    List.map
+      (fun len -> be32 len ^ frame)
+      [ 0; 1; n - 1; n + 1; n + 100; Wire.max_frame + 1; 0xffff_ffff ]
+    @ [ valid ^ "\x00\x00"; String.sub valid 0 3 ]
+  in
+  ( List.map reframe malformed @ lying_prefixes,
+    List.map reframe maybe )
+
+let hostile_tests =
+  [
+    Alcotest.test_case "non-finite points are refused at decode" `Quick
+      (fun () ->
+        List.iter
+          (fun (x, y) ->
+            check_bool "refused" true
+              (let raw = Codec.encode Codec.point { Point.x; y } in
+               match Codec.decode Codec.point raw with
+               | _ -> false
+               | exception Failure _ -> true))
+          [ (nan, 0.5); (0.5, nan); (infinity, 0.0); (0.0, neg_infinity) ];
+        with_telemetry (fun () ->
+            with_static_server (fun t ->
+                with_scratch (fun scratch ->
+                    let malformed = Metrics.counter "serve.malformed.frames" in
+                    List.iteri
+                      (fun i q ->
+                        match
+                          converse ~scratch t
+                            (wire_bytes Wire.write_request
+                               (Wire.Batch [| Wire.Count Box.unit; q |]))
+                        with
+                        | false, [ Wire.Refused reason ], _ ->
+                          check_bool ("reason names the point: " ^ reason) true
+                            (contains reason "non-finite point");
+                          check_int "counted" (i + 1)
+                            (Metrics.counter_value malformed)
+                        | _ -> Alcotest.fail "non-finite query was not refused")
+                      [
+                        Wire.Nearest (Point.make nan 0.5);
+                        Wire.Knn (3, Point.make infinity 0.0);
+                        Wire.Cell (Point.make nan nan);
+                      ]))));
+    Alcotest.test_case "oversize response is refused before writing" `Quick
+      (fun () ->
+        with_telemetry (fun () ->
+            with_scratch (fun scratch ->
+                let oversize = Metrics.counter "serve.oversize.responses" in
+                let huge =
+                  Wire.Answers
+                    {
+                      epoch = 0;
+                      answers =
+                        [| Wire.Rejected (String.make Wire.max_frame 'x') |];
+                    }
+                in
+                let bytes = wire_bytes Wire.write_response huge in
+                check_int "counted" 1 (Metrics.counter_value oversize);
+                check_bool "small frame written" true
+                  (String.length bytes < 1024);
+                match responses_of_bytes scratch bytes with
+                | [ Wire.Refused reason ] ->
+                  let n =
+                    Scanf.sscanf reason
+                      "response of %d bytes exceeds frame limit" Fun.id
+                  in
+                  check_bool "the refused length is over the limit" true
+                    (n > Wire.max_frame)
+                | _ -> Alcotest.fail "expected one Refused response")));
+    Alcotest.test_case "fuzzed frames get a typed response or a clean close"
+      `Quick (fun () ->
+        check_bool "reframe reproduces the wire's bytes" true
+          (reframe (Codec.encode Wire.request (Wire.Batch fuzz_batch))
+          = wire_bytes Wire.write_request (Wire.Batch fuzz_batch));
+        let malformed, maybe = fuzz_cases () in
+        with_static_server (fun t ->
+            with_scratch (fun scratch ->
+                let run ~must_refuse input =
+                  match converse ~scratch t input with
+                  | exception e ->
+                    Alcotest.failf "server raised %s on a fuzzed frame"
+                      (Printexc.to_string e)
+                  | quit, responses, seconds ->
+                    if seconds > 2.0 then
+                      Alcotest.failf "a fuzzed frame took %.1f s" seconds;
+                    (match List.rev responses with
+                    | Wire.Bye :: _ -> check_bool "bye ends on quit" true quit
+                    | _ -> ());
+                    if must_refuse then
+                      match List.rev responses with
+                      | Wire.Refused _ :: _ -> ()
+                      | _ -> Alcotest.fail "malformed frame was not refused"
+                in
+                List.iter (run ~must_refuse:true) malformed;
+                List.iter (run ~must_refuse:false) maybe)));
+  ]
+
 let () =
   Alcotest.run "popan-serve"
     [
@@ -1012,4 +1392,6 @@ let () =
       ("server", server_tests);
       ("leftright", left_right_tests);
       ("telemetry", telemetry_tests);
+      ("hostile", hostile_tests);
+      ("golden", golden_tests);
     ]

@@ -181,6 +181,41 @@ let frame_tests =
            | Ok _ -> false));
   ]
 
+(* Golden artifact bytes: the MD5 of a stored [pr_quadtree] artifact
+   and of a trial-shaped one. Caches written by an earlier build must
+   keep reading back as hits, so the container's bytes are pinned, not
+   just its round-trip. *)
+
+let golden_artifacts () =
+  let tree =
+    Pr_quadtree.of_points ~capacity:3
+      (Sampler.points (Xoshiro.of_int_seed 7) Sampler.Uniform 500)
+  in
+  [
+    ( "pr_quadtree artifact",
+      Codec.to_artifact ~kind:"pr-tree" ~version:1 ~key:"golden|seed=7|n=500"
+        Codec.pr_quadtree tree,
+      "9c8758ce4fb9c6bf1b01bbc347154155" );
+    ( "mixed artifact",
+      Codec.to_artifact ~kind:"test-kind" ~version:3 ~key:"k|1"
+        Codec.(triple (pair float int_array) (list string) (option int64))
+        ( (3.75, [| 1; -2; 300; max_int; min_int |]),
+          [ "a"; ""; "b,c\n" ],
+          Some (-5L) ),
+      "23a71f1c4b1ff9a0f7b3a8d58e2a926e" );
+  ]
+
+let golden_tests =
+  [
+    Alcotest.test_case "golden artifact bytes are unchanged" `Quick (fun () ->
+        List.iter
+          (fun (what, bytes, digest) ->
+            Alcotest.(check string)
+              what digest
+              (Digest.to_hex (Digest.string bytes)))
+          (golden_artifacts ()));
+  ]
+
 (* Store behaviour *)
 
 let store_tests =
@@ -577,6 +612,7 @@ let () =
     [
       ("codec", codec_tests);
       ("frame", frame_tests);
+      ("golden", golden_tests);
       ("store", store_tests);
       ("caching", sweep_tests);
       ("checkpoint", checkpoint_tests);
