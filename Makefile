@@ -32,8 +32,11 @@ test:
 # (epochs 2 and 3 come from arenas brought forward by replay),
 # verify every response byte-for-byte against an in-process sequential
 # oracle, serve two sequential clients on one socket, and assert a truncated
-# frame is refused. The query alloc smoke: count-in-box on the
-# integer-descent path must allocate zero minor words per query. The
+# frame is refused, and a client that hangs up on the socket before
+# reading its reply must cost only its own conversation: the next
+# client is served and the server exits 0 on its Quit. The query alloc
+# smokes: count-in-box on the integer-descent path must allocate zero
+# minor words per query, and a cell_at point descent only its answer. The
 # obs-top smoke: start `popan serve` on a Unix socket with full
 # telemetry under churn, self-warm two batches, scrape it once with
 # `popan obs top --prom --quit` (the quit also proves a client can shut
@@ -66,6 +69,12 @@ check: build test
 	else \
 	  echo "alloc smoke FAILED: query integer-descent path allocates"; \
 	  dune exec --no-build test/test_alloc.exe -- test arena 6; exit 1; \
+	fi
+	@if dune exec --no-build test/test_alloc.exe -- test arena 7 >/dev/null 2>&1; then \
+	  echo "alloc smoke: a cell_at descent allocates only its answer, nothing per level"; \
+	else \
+	  echo "alloc smoke FAILED: cell_at descent allocates beyond its answer"; \
+	  dune exec --no-build test/test_alloc.exe -- test arena 7; exit 1; \
 	fi
 	@if dune exec --no-build test/test_alloc.exe -- test codec 0 >/dev/null 2>&1; then \
 	  echo "alloc smoke: fnv1a64 over 1 MiB allocates at most 16 minor words"; \

@@ -14,7 +14,6 @@ module Pr_model = Popan_core.Pr_model
 module Newton_model = Popan_core.Newton_model
 module Mc_transform = Popan_core.Mc_transform
 module Pr_quadtree = Popan_trees.Pr_quadtree
-module Pr_builder = Popan_trees.Pr_builder
 module Pr_arena = Popan_trees.Pr_arena
 module Ext_hash = Popan_trees.Ext_hash
 module Sampler = Popan_rng.Sampler
@@ -147,25 +146,9 @@ let bench_bulk_build =
     (Staged.stage (fun () ->
          Sys.opaque_identity (Pr_quadtree.of_points_bulk ~capacity:8 points_1024)))
 
-(* The mutable simulation core vs the persistent structure: same
-   decomposition, destructive inserts, O(1) statistics. *)
-
-let bench_builder_build =
-  Test.make ~name:"ablation:builder build m=8 n=1024"
-    (Staged.stage (fun () ->
-         Sys.opaque_identity (Pr_builder.of_points ~capacity:8 points_1024)))
-
-let bench_builder_build_freeze =
-  Test.make ~name:"ablation:builder build+freeze m=8 n=1024"
-    (Staged.stage (fun () ->
-         Sys.opaque_identity
-           (Pr_builder.freeze (Pr_builder.of_points ~capacity:8 points_1024))))
-
-(* The arena core against both predecessors, on the same 1024 points:
-   arena-vs-builder prices the structure-of-arrays layout (same
-   insertion algorithm, no boxed nodes or cons cells), bulk-vs-
-   incremental prices the Morton sort against 1024 root-to-leaf
-   descents. A 16k pair checks the gap does not close at larger n. *)
+(* The arena core on the same 1024 points: bulk-vs-incremental prices
+   the Morton sort against 1024 root-to-leaf descents. A 16k pair
+   checks the gap does not close at larger n. *)
 
 let bench_arena_build =
   Test.make ~name:"ablation:arena build m=8 n=1024"
@@ -184,11 +167,6 @@ let bench_arena_build_freeze =
            (Pr_arena.freeze (Pr_arena.of_points ~capacity:8 points_1024))))
 
 let points_16384 = uniform_points 16384
-
-let bench_builder_build_16k =
-  Test.make ~name:"ablation:builder build m=8 n=16384"
-    (Staged.stage (fun () ->
-         Sys.opaque_identity (Pr_builder.of_points ~capacity:8 points_16384)))
 
 let bench_arena_build_16k =
   Test.make ~name:"ablation:arena build m=8 n=16384"
@@ -462,14 +440,14 @@ let bench_persistent_snapshot =
              Pr_quadtree.average_occupancy tree,
              Pr_quadtree.occupancy_histogram tree )))
 
-let bench_builder_snapshot =
-  let builder = Pr_builder.of_points ~capacity:8 points_4096 in
+let bench_arena_snapshot =
+  let arena = Pr_arena.of_points ~capacity:8 points_4096 in
   Test.make ~name:"ablation:snapshot stats O(1) n=4096"
     (Staged.stage (fun () ->
          Sys.opaque_identity
-           ( Pr_builder.leaf_count builder,
-             Pr_builder.average_occupancy builder,
-             Pr_builder.occupancy_histogram builder )))
+           ( Pr_arena.leaf_count arena,
+             Pr_arena.average_occupancy arena,
+             Pr_arena.occupancy_histogram arena )))
 
 (* The deterministic multicore trial engine: the same experiment kernel
    at 1/2/4 domains. The outputs are byte-identical (enforced by the
@@ -754,13 +732,22 @@ let bench_serve_sequential =
          Sys.opaque_identity
            (Array.map (Server.eval serve_arena) serve_queries)))
 
-(* One pool per job count, spawned once: the benches time the batch,
-   not domain startup. *)
-let serve_pools =
-  List.map (fun jobs -> (jobs, Popan_parallel.Pool.create ~jobs ()))
-    [ 1; 2; 4 ]
+(* One pool per job count, spawned once per serve phase so the benches
+   time the batch, not domain startup, and shut down when the phase
+   ends: an idle worker domain still joins every minor collection's
+   stop-the-world, so pools alive for the whole run would tax every
+   allocating row measured beside them. *)
+let with_serve_pools f =
+  let pools =
+    List.map (fun jobs -> (jobs, Popan_parallel.Pool.create ~jobs ()))
+      [ 1; 2; 4 ]
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun (_, pool) -> Popan_parallel.Pool.shutdown pool) pools)
+    (fun () -> f pools)
 
-let bench_serve_jobs jobs =
+let bench_serve_jobs serve_pools jobs =
   let pool = List.assoc jobs serve_pools in
   Test.make
     ~name:(parallel_bench_name
@@ -784,7 +771,7 @@ let bench_serve_freeze_then_query =
    trajectory prices the telemetry layer directly against them; the
    acceptance bar says within 10%. Enable/disable flips inside the run
    are two atomics against a millisecond-scale batch. *)
-let bench_serve_telemetry =
+let bench_serve_telemetry serve_pools =
   let pool = List.assoc 1 serve_pools in
   Test.make
     ~name:(Printf.sprintf
@@ -942,7 +929,7 @@ let bench_event_emit =
    batches run interleaved and each side keeps its best wall clock —
    the same discipline as the hand-timed 2^22 rows. Appended to the
    estimates, so the JSON trajectory carries the honest pair. *)
-let telemetry_paired_rows () =
+let telemetry_paired_rows serve_pools =
   let pool = List.assoc 1 serve_pools in
   let batch () =
     ignore
@@ -992,14 +979,13 @@ let all_benches =
       bench_mc_transform; bench_ext_hash; bench_excell; bench_mx_cif;
       bench_nearest_seq;
       bench_incremental_build; bench_bulk_build;
-      bench_builder_build; bench_builder_build_freeze;
       bench_arena_build; bench_arena_bulk_build; bench_arena_build_freeze;
-      bench_builder_build_16k; bench_arena_build_16k;
+      bench_arena_build_16k;
       bench_arena_bulk_build_16k;
       bench_radix_array_64k; bench_radix_big_64k;
       bench_pr5_path_bulk_64k; bench_arena_bulk_build_64k;
       bench_arena_bulk_jobs 1; bench_arena_bulk_jobs 4;
-      bench_persistent_snapshot; bench_builder_snapshot;
+      bench_persistent_snapshot; bench_arena_snapshot;
       bench_sweep_jobs 1; bench_sweep_jobs 2; bench_sweep_jobs 4;
       bench_mc_transform_jobs 1; bench_mc_transform_jobs 4;
       bench_sweep_uncached; bench_sweep_cold; bench_sweep_warm;
@@ -1012,10 +998,7 @@ let all_benches =
       bench_obs_incr `Metrics_only "obs-metrics";
       bench_obs_incr `Trace "obs-full-trace";
       bench_churn_insert_only; bench_churn_mixed;
-      bench_serve_sequential;
-      bench_serve_jobs 1; bench_serve_jobs 2; bench_serve_jobs 4;
-      bench_serve_freeze_then_query;
-      bench_serve_telemetry;
+      bench_serve_sequential; bench_serve_freeze_then_query;
       bench_wire_encode; bench_wire_decode;
       bench_count_pruned (List.nth sel_boxes 0);
       bench_count_frozen_walk (List.nth sel_boxes 0);
@@ -1027,15 +1010,30 @@ let all_benches =
       bench_flight_record; bench_event_emit;
     ]
 
+(* The pool-backed serve rows, built and measured inside one
+   [with_serve_pools] phase. *)
+let serve_pool_benches serve_pools =
+  Test.make_grouped ~name:"popan"
+    [
+      bench_serve_jobs serve_pools 1; bench_serve_jobs serve_pools 2;
+      bench_serve_jobs serve_pools 4; bench_serve_telemetry serve_pools;
+    ]
+
 let run_benchmarks () =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
   let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg instances all_benches in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
+  let measure tests =
+    let raw = Benchmark.all cfg instances tests in
+    let results = Analyze.all ols Instance.monotonic_clock raw in
+    Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results []
+  in
+  let rows =
+    measure all_benches
+    @ with_serve_pools (fun pools -> measure (serve_pool_benches pools))
+  in
   let rows = List.sort (fun (a, _) (b, _) -> compare a b) rows in
   let estimates =
     List.map
@@ -1096,22 +1094,11 @@ let print_parallel_summary estimates =
       (if Popan_parallel.recommended_jobs () = 1 then "" else "s")
   | _ -> ()
 
-(* The arena ablation, stated against the PR 5 acceptance bars: the
-   arena's incremental build against Pr_builder's (same algorithm,
-   flat arrays vs boxed nodes), and the Morton bulk build against the
-   persistent of_points_bulk this bench file has tracked since PR 1. *)
+(* The arena ablation, stated against the PR 5 acceptance bar: the
+   Morton bulk build against the persistent of_points_bulk this bench
+   file has tracked since PR 1. *)
 let print_arena_summary estimates =
   let find = find_estimate estimates in
-  (match
-     ( find "ablation:builder build m=8 n=1024",
-       find "ablation:arena build m=8 n=1024" )
-   with
-  | Some builder, Some arena ->
-    Printf.printf
-      "arena layout: builder build %.1f us/run, arena build %.1f us/run -> \
-       %.2fx\n"
-      (builder /. 1e3) (arena /. 1e3) (builder /. arena)
-  | _ -> ());
   match
     ( find "ablation:bulk build m=8 n=1024",
       find "ablation:arena bulk build m=8 n=1024" )
@@ -1720,7 +1707,7 @@ let regenerate () =
   Printf.printf "Table 4/5 sweep regeneration: %.4f s cpu\n" sweep_seconds
 
 let () =
-  let paired = telemetry_paired_rows () in
+  let paired = with_serve_pools telemetry_paired_rows in
   Printf.printf "== popan bench: micro-benchmarks ==\n\n%!";
   let estimates = run_benchmarks () in
   Printf.printf

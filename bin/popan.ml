@@ -1628,6 +1628,10 @@ let serve_cmd =
       (match socket with
       | Some path -> Printf.sprintf ", socket %s" path
       | None -> ", stdin/stdout");
+    (* A client that closes before reading its reply must cost only its
+       own conversation: with SIGPIPE ignored the write fails with
+       EPIPE, which the server counts and survives. *)
+    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     Popan_serve.Server.run ?socket ~warm_batches:warm config;
     Printf.eprintf "popan serve: shut down cleanly\n%!"
   in

@@ -307,6 +307,7 @@ let serve_nearest_queries = Metrics.counter "serve.queries.nearest"
 let serve_cell_queries = Metrics.counter "serve.queries.cell"
 let serve_malformed_frames = Metrics.counter "serve.malformed.frames"
 let serve_oversize_responses = Metrics.counter "serve.oversize.responses"
+let serve_disconnects = Metrics.counter "serve.disconnects"
 
 (* Subtrees answered wholesale by containment pruning in the range/count
    kernels — a pure function of tree shape and query, hence stable;
@@ -438,6 +439,11 @@ let serve_oversize ~bytes =
   Metrics.incr serve_oversize_responses;
   Event.emit ~level:Event.Warn "serve.oversize"
     [ ("bytes", Event.Int bytes) ]
+
+let serve_disconnect ~reason =
+  Metrics.incr serve_disconnects;
+  Event.emit ~level:Event.Warn "serve.disconnect"
+    [ ("reason", Event.Str reason) ]
 
 let serve_shutdown ~batches ~epoch =
   Event.emit "serve.shutdown"

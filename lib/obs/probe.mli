@@ -252,6 +252,13 @@ val serve_malformed : reason:string -> unit
     [Warn]. *)
 val serve_oversize : bytes:int -> unit
 
+(** [serve_disconnect ~reason] counts a conversation ended by an I/O
+    error on the client's channels — typically a client that hung up
+    before reading its reply ([EPIPE]) or reset the connection
+    ([ECONNRESET]) — in [serve.disconnects], and emits a
+    [serve.disconnect] event at [Warn]. *)
+val serve_disconnect : reason:string -> unit
+
 (** [serve_shutdown ~batches ~epoch] emits the [serve.shutdown]
     lifecycle event as the request loop exits. *)
 val serve_shutdown : batches:int -> epoch:int -> unit

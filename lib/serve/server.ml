@@ -273,27 +273,35 @@ let shutdown t =
 
 (* Drive one client conversation to its end. Returns [true] when the
    client asked the server to quit ([Wire.Quit]), [false] when the
-   conversation merely ended — EOF or a malformed frame — and the
-   server should keep accepting. *)
+   conversation merely ended — EOF, a malformed frame, or a client gone
+   mid-conversation — and the server should keep accepting. *)
 let serve_channels t ic oc =
   set_binary_mode_in ic true;
   set_binary_mode_out oc true;
+  (* Set as soon as [Quit] is read, so the server stops even when the
+     client is gone before its [Bye] can be written. *)
+  let quit = ref false in
   let rec loop () =
     match Wire.read_request ic with
-    | None -> false
+    | None -> ()
     | Some (Error reason) ->
       (* A bad frame leaves the stream position undefined: refuse the
          request and stop reading rather than resynchronize by
          guesswork. *)
       Probe.serve_malformed ~reason;
-      Wire.write_response oc (Wire.Refused reason);
-      false
+      Wire.write_response oc (Wire.Refused reason)
     | Some (Ok req) ->
       let resp, continue = handle t req in
+      quit := not continue;
       Wire.write_response oc resp;
-      if continue then loop () else true
+      if continue then loop ()
   in
-  loop ()
+  (* A client that hangs up before reading its reply makes the write
+     fail with EPIPE (SIGPIPE is ignored by the serve command), and one
+     that resets the connection makes the next read fail: either ends
+     this conversation only. *)
+  (try loop () with Sys_error reason -> Probe.serve_disconnect ~reason);
+  !quit
 
 (* Accept clients one after another on the same socket until one of
    them sends [Quit]. Conversations are strictly sequential — the next
@@ -316,9 +324,11 @@ let serve_socket t path =
         let oc = Unix.out_channel_of_descr fd in
         let quit =
           Fun.protect
-            ~finally:(fun () ->
-              (try flush oc with Sys_error _ -> ());
-              try Unix.close fd with Unix.Unix_error _ -> ())
+            (* Closing the channel flushes what it still can and closes
+               [fd]. A departed client's unwritten reply is discarded
+               with it, never left for the at-exit flush to write into
+               a descriptor a later accept has reused. *)
+            ~finally:(fun () -> close_out_noerr oc)
             (fun () -> serve_channels t ic oc)
         in
         if not quit then accept_loop ()

@@ -87,9 +87,15 @@ val handle : t -> Wire.request -> Wire.response * bool
 (** [serve_channels t ic oc] reads framed requests from [ic] and writes
     framed responses to [oc] until EOF, [Quit], or a malformed frame
     (refused, then the loop stops — a broken frame leaves the stream
-    position undefined). Returns [true] iff the conversation ended with
-    [Quit] — the client asked the server itself to stop, as opposed to
-    merely hanging up. *)
+    position undefined). An I/O error on either channel ([Sys_error],
+    e.g. a client that closed before reading its reply) ends the
+    conversation too, counted by [Probe.serve_disconnect]. Returns
+    [true] iff the client sent [Quit] — it asked the server itself to
+    stop, as opposed to merely hanging up — even when its [Bye] could
+    not be delivered. A process
+    serving a socket should ignore [SIGPIPE], as [popan serve] does, so
+    that a write to a departed client fails with [EPIPE] instead of
+    killing it. *)
 val serve_channels : t -> in_channel -> out_channel -> bool
 
 (** [shutdown t] retires both epoch slots and releases their mmap

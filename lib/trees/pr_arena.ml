@@ -12,11 +12,10 @@ let bits = Morton.bits
 let bits_fine = 2 * bits
 let axis_mask = (1 lsl bits) - 1
 
-(* Morton.quantize / quantize_fine, open-coded: calling across the
-   module boundary passes the float boxed (2 words each for x and y,
-   every insert); local arithmetic on a power-of-two constant stays
-   unboxed and is the identical exact computation. *)
-let quantize_scale = float_of_int (1 lsl bits)
+(* Morton.quantize_fine, open-coded: calling across the module boundary
+   passes the float boxed (2 words each for x and y, every insert);
+   local arithmetic on a power-of-two constant stays unboxed and is the
+   identical exact computation. *)
 let fine_scale = float_of_int (1 lsl bits_fine)
 
 (* 2^-42 is a power of two, so multiplying a fine ordinate by it is the
@@ -71,7 +70,7 @@ type t = {
   mutable ys : farr;
   mutable codes : iarr;  (* hi Morton word of each slot *)
   mutable next : iarr;  (* intrusive per-leaf chain, -1 ends *)
-  (* O(1) statistics, maintained exactly like Pr_builder's. *)
+  (* O(1) statistics, maintained per insert, delete and split. *)
   mutable leaves : int;
   mutable internals : int;
   mutable height : int;
@@ -361,14 +360,21 @@ let drop_leaf t depth count =
   t.hist.(bucket) <- t.hist.(bucket) - 1;
   t.depth_count.(depth) <- t.depth_count.(depth) - 1
 
-(* The two Morton bits separating the children of a node at [depth]
-   (depth < bits): (y bit << 1) | x bit. *)
-let pair_at code depth = (code lsr (2 * (bits - 1 - depth))) land 3
+(* The fine (42-bit) ordinates of a point: exact, the multiply only
+   shifts the exponent, and truncating a value in [0, 2^42) is floor.
+   The point crosses the call as its (already boxed) record, so reading
+   the coordinates stays unboxed and nothing is allocated. The hi Morton
+   word is the interleave of their top [bits] bits — identical to
+   quantizing at 2^21, since floor (floor (x * 2^42) / 2^21) =
+   floor (x * 2^21). *)
+let fine_px (p : Point.t) = int_of_float (p.Point.x *. fine_scale)
+let fine_py (p : Point.t) = int_of_float (p.Point.y *. fine_scale)
+let hi_code qx qy = Morton.interleave (qx lsr bits) (qy lsr bits)
 
-(* The fine (42-bit) ordinates of a stored slot, computed on demand from
-   the float columns — exact, the multiply only shifts the exponent.
-   Nothing below the hi word is stored per slot: levels 21..41 are rare
-   enough that recomputing beats an extra 8n-byte column. *)
+(* The same ordinates for a stored slot, computed on demand from the
+   float columns. Nothing below the hi word is stored per slot: levels
+   21..41 are rare enough that recomputing beats an extra 8n-byte
+   column. *)
 let fine_x t slot = int_of_float (t.xs.{slot} *. fine_scale)
 let fine_y t slot = int_of_float (t.ys.{slot} *. fine_scale)
 
@@ -377,10 +383,25 @@ let fine_y t slot = int_of_float (t.ys.{slot} *. fine_scale)
 let lo_code t slot =
   Morton.interleave (fine_x t slot land axis_mask) (fine_y t slot land axis_mask)
 
-(* The child pair of fine ordinates at [depth] in [bits, bits_fine). *)
-let pair_fine qx qy depth =
-  let sh = bits_fine - 1 - depth in
-  (((qy lsr sh) land 1) lsl 1) lor ((qx lsr sh) land 1)
+(* Which child of a depth-[depth] node holds a point, as its Morton pair
+   (y bit << 1) | x bit: read from the point's hi Morton word [code]
+   above level [bits], from its fine ordinates [qx, qy] at and below it.
+   Every descent and every split asks this one function. The equivalence
+   with float midpoints holds level for level: the cell midpoint at
+   depth d <= 41 is the dyadic k/2^(d+1), and [x >= k/2^(d+1)] iff bit
+   (41 - d) of [floor (x * 2^42)] is set, given the shared cell
+   prefix. *)
+let[@inline] child_pair code qx qy depth =
+  if depth < bits then (code lsr (2 * (bits - 1 - depth))) land 3
+  else
+    let sh = bits_fine - 1 - depth in
+    (((qy lsr sh) land 1) lsl 1) lor ((qx lsr sh) land 1)
+
+(* [child_pair] for a stored slot: the hi word comes from the [codes]
+   column, the fine ordinates are computed only below level [bits]. *)
+let slot_pair t slot depth =
+  if depth < bits then child_pair t.codes.{slot} 0 0 depth
+  else child_pair 0 (fine_x t slot) (fine_y t slot) depth
 
 (* Absorb [slot] into leaf [node] at [depth], maintaining histogram and
    leaf bookkeeping. Returns [true] when the leaf overflowed (it has
@@ -406,96 +427,48 @@ let absorb t node depth slot =
   end
 
 (* Relink an over-full leaf's chain onto the four fresh children at
-   [base], keyed by the Morton pair at [depth]. Ints only. *)
-let rec distribute_code t base depth slot =
+   [base], keyed by each slot's pair at [depth]. Ints only. *)
+let rec distribute t base depth slot =
   if slot >= 0 then begin
     let nxt = t.next.{slot} in
-    let c = base + pair_at t.codes.{slot} depth in
+    let c = base + slot_pair t slot depth in
     t.next.{slot} <- t.head.(c);
     t.head.(c) <- slot;
     t.count.(c) <- t.count.(c) + 1;
-    distribute_code t base depth nxt
-  end
-
-(* Same, keyed by the fine ordinates (levels bits .. bits_fine - 1). *)
-let rec distribute_fine t base depth slot =
-  if slot >= 0 then begin
-    let nxt = t.next.{slot} in
-    let c = base + pair_fine (fine_x t slot) (fine_y t slot) depth in
-    t.next.{slot} <- t.head.(c);
-    t.head.(c) <- slot;
-    t.count.(c) <- t.count.(c) + 1;
-    distribute_fine t base depth nxt
+    distribute t base depth nxt
   end
 
 (* Split an over-full, deregistered former leaf [node] at [depth]
-   (< max_depth <= 42). Levels above [bits] key on the stored hi word,
-   levels in [bits, bits_fine) on the on-demand fine ordinates. *)
-let rec split_code t node depth =
-  if depth >= bits then split_fine t node depth
-  else begin
-    t.internals <- t.internals + 1;
-    Probe.builder_split ~depth;
-    let base = alloc_children t in
-    let chain = t.head.(node) in
-    t.child.(node) <- base;
-    t.head.(node) <- -1;
-    (* [t.count.(node)] keeps the overflowed chain total: with subtree
-       counts it is exactly the new internal node's population. *)
-    distribute_code t base depth chain;
-    let cdepth = depth + 1 in
-    for i = 0 to 3 do
-      let c = base + i in
-      let cc = t.count.(c) in
-      if cc <= t.capacity || cdepth >= t.max_depth then note_leaf t cdepth cc
-      else split_code t c cdepth
-    done
-  end
-
-and split_fine t node depth =
+   (< max_depth <= 42), splitting again any child still over-full. *)
+let rec split t node depth =
   t.internals <- t.internals + 1;
   Probe.builder_split ~depth;
   let base = alloc_children t in
   let chain = t.head.(node) in
   t.child.(node) <- base;
   t.head.(node) <- -1;
-  distribute_fine t base depth chain;
+  (* [t.count.(node)] keeps the overflowed chain total: with subtree
+     counts it is exactly the new internal node's population. *)
+  distribute t base depth chain;
   let cdepth = depth + 1 in
   for i = 0 to 3 do
     let c = base + i in
     let cc = t.count.(c) in
     if cc <= t.capacity || cdepth >= t.max_depth then note_leaf t cdepth cc
-    else split_fine t c cdepth
+    else split t c cdepth
   done
 
-(* Descend by Morton bits: the hi word down to level [bits], then the
-   fine ordinates below it — ints only, so a no-split insert allocates
-   nothing at any depth. Internal nodes sit above [max_depth <= 42], so
-   the fine ordinates never run out. The equivalence with float
-   midpoints holds level for level: the cell midpoint at depth d <= 41
-   is the dyadic k/2^(d+1), and [x >= k/2^(d+1)] iff bit (41 - d) of
-   [floor (x * 2^42)] is set, given the shared cell prefix. *)
-let rec insert_code t node depth code slot =
+(* The writers' point descent: walk from the root to the leaf whose cell
+   holds the point (hi word [code], fine ordinates [qx, qy]), write every
+   node id on the way — the leaf included — into [t.path], and return
+   the leaf depth. Ints only, so it allocates nothing at any depth.
+   Internal nodes sit above [max_depth <= 42], so the fine ordinates
+   never run out. *)
+let rec locate t node depth code qx qy =
+  t.path.(depth) <- node;
   let base = t.child.(node) in
-  if base >= 0 then
-    if depth < bits then begin
-      (* Subtree counts: every internal node on the descent gains the
-         point. The hand-off to [insert_fine] re-enters the SAME node,
-         so the increment lives only in the branches that actually step
-         to a child. *)
-      t.count.(node) <- t.count.(node) + 1;
-      insert_code t (base + pair_at code depth) (depth + 1) code slot
-    end
-    else insert_fine t node depth (fine_x t slot) (fine_y t slot) slot
-  else if absorb t node depth slot then split_code t node depth
-
-and insert_fine t node depth qx qy slot =
-  let base = t.child.(node) in
-  if base >= 0 then begin
-    t.count.(node) <- t.count.(node) + 1;
-    insert_fine t (base + pair_fine qx qy depth) (depth + 1) qx qy slot
-  end
-  else if absorb t node depth slot then split_fine t node depth
+  if base < 0 then depth
+  else locate t (base + child_pair code qx qy depth) (depth + 1) code qx qy
 
 let insert t p =
   if not (Point.in_unit_square p) then
@@ -517,29 +490,31 @@ let insert t p =
     end
   in
   t.size <- t.size + 1;
-  let x = p.Point.x and y = p.Point.y in
-  t.xs.{slot} <- x;
-  t.ys.{slot} <- y;
-  let code =
-    Morton.interleave
-      (int_of_float (x *. quantize_scale))
-      (int_of_float (y *. quantize_scale))
-  in
+  t.xs.{slot} <- p.Point.x;
+  t.ys.{slot} <- p.Point.y;
+  let qx = fine_px p and qy = fine_py p in
+  let code = hi_code qx qy in
   t.codes.{slot} <- code;
-  insert_code t 0 0 code slot
+  let depth = locate t 0 0 code qx qy in
+  (* Subtree counts: every internal node on the path gains the point. *)
+  for d = 0 to depth - 1 do
+    let a = t.path.(d) in
+    t.count.(a) <- t.count.(a) + 1
+  done;
+  let leaf = t.path.(depth) in
+  if absorb t leaf depth slot then split t leaf depth
 
 let insert_all t ps = List.iter (insert t) ps
 
 (* Deletes. [delete] removes one stored occurrence of a point: locate
-   its leaf by the same integer descent as [insert] — recording the
-   root-to-leaf node ids in the preallocated [path] scratch — unlink
-   the slot from the leaf's intrusive chain, then merge ancestors back
-   into leaves while their subtree population has fallen to at most
-   [capacity]. Freed slots and node 4-blocks go on the intrusive free
-   lists, so a delete (and the reinsert that reuses what it freed)
-   touches nothing but the existing columns: zero minor-heap words on
-   the no-merge path, same claim as insert, enforced by the alloc
-   tests.
+   its leaf by the same descent as [insert] — recording the root-to-leaf
+   node ids in the preallocated [path] scratch — unlink the slot from
+   the leaf's intrusive chain, then merge ancestors back into leaves
+   while their subtree population has fallen to at most [capacity].
+   Freed slots and node 4-blocks go on the intrusive free lists, so a
+   delete (and the reinsert that reuses what it freed) touches nothing
+   but the existing columns: zero minor-heap words on the no-merge path,
+   same claim as insert, enforced by the alloc tests.
 
    The merge check at an ancestor inspects only its four children: if
    any child is internal, that child's subtree alone holds more than
@@ -551,25 +526,6 @@ let insert_all t ps = List.iter (insert t) ps
    is exactly canonicality: a node is internal iff more than
    [capacity] live points lie under it, the same shape a fresh build
    of the survivors produces. *)
-
-(* Descend to the leaf whose cell contains the query point, writing
-   every visited node id (the leaf included) into [t.path] and
-   returning the leaf depth. Mirrors [insert_code] / [insert_fine]
-   level for level, passing the query as its Morton hi word and fine
-   ordinates. *)
-let rec locate_code t node depth code qx qy =
-  t.path.(depth) <- node;
-  let base = t.child.(node) in
-  if base < 0 then depth
-  else if depth < bits then
-    locate_code t (base + pair_at code depth) (depth + 1) code qx qy
-  else locate_fine t node depth qx qy
-
-and locate_fine t node depth qx qy =
-  t.path.(depth) <- node;
-  let base = t.child.(node) in
-  if base < 0 then depth
-  else locate_fine t (base + pair_fine qx qy depth) (depth + 1) qx qy
 
 (* Unlink the first slot in [leaf]'s chain equal to the query point in
    [t.qbuf] and return it, or -1 when absent. Exact float comparison:
@@ -642,19 +598,12 @@ let rec merge_up t depth =
   end
 
 let delete t p =
-  let x = p.Point.x and y = p.Point.y in
   if not (Point.in_unit_square p) then false
   else begin
-    t.qbuf.{0} <- x;
-    t.qbuf.{1} <- y;
-    let depth =
-      locate_code t 0 0
-        (Morton.interleave
-           (int_of_float (x *. quantize_scale))
-           (int_of_float (y *. quantize_scale)))
-        (int_of_float (x *. fine_scale))
-        (int_of_float (y *. fine_scale))
-    in
+    t.qbuf.{0} <- p.Point.x;
+    t.qbuf.{1} <- p.Point.y;
+    let qx = fine_px p and qy = fine_py p in
+    let depth = locate t 0 0 (hi_code qx qy) qx qy in
     let leaf = t.path.(depth) in
     let slot = unlink_slot t leaf (-1) t.head.(leaf) in
     if slot < 0 then false
@@ -726,18 +675,45 @@ let emit_leaf t (ss : iarr) lo hi node depth =
   end;
   note_leaf t depth n
 
-(* A stable counting partition of (sk, ss)[lo, hi) on the two key bits
-   at [depth] — MSD radix, one level per split. [cnt] is a 4-slot
-   buffer for the counting pass, reused by every node — pair counts land
-   in it branchlessly (indexing, not matching), then it holds the
-   running write bases. The scatter lands in (dk, ds) and the children
-   swap the buffer pairs — no copy back; sibling ranges are disjoint, so
-   each subtree ping-pongs its own slice independently, which is also
-   what makes the range fan-out below safe on shared buffers. [fine]
-   says the key column already holds lo words; crossing level [bits]
-   reloads the column in place (the hi words are constant across the
-   range there) and continues at the same depth. Splits happen above
-   [max_depth <= 42], so the lo word never runs out. *)
+(* One MSD radix level: a stable counting partition of (sk, ss)[lo, hi)
+   into (dk, ds) on the two key bits at shift [sh]. [cnt] is a 4-slot
+   buffer reused by every node — pair counts land in it branchlessly
+   (indexing, not matching), then it holds the running write bases, and
+   on return [cnt.(i)] is the end of child [i]'s range ([cnt.(3) = hi]).
+   The caller recurses with the buffer pairs swapped — no copy back;
+   sibling ranges are disjoint, so each subtree ping-pongs its own slice
+   independently, which is also what makes the range fan-out below safe
+   on shared buffers. *)
+let partition (sk : iarr) (ss : iarr) (dk : iarr) (ds : iarr) cnt lo hi sh =
+  cnt.(0) <- 0;
+  cnt.(1) <- 0;
+  cnt.(2) <- 0;
+  cnt.(3) <- 0;
+  for k = lo to hi - 1 do
+    let d = (sk.{k} lsr sh) land 3 in
+    cnt.(d) <- cnt.(d) + 1
+  done;
+  let e1 = lo + cnt.(0) in
+  let e2 = e1 + cnt.(1) in
+  let e3 = e2 + cnt.(2) in
+  cnt.(0) <- lo;
+  cnt.(1) <- e1;
+  cnt.(2) <- e2;
+  cnt.(3) <- e3;
+  for k = lo to hi - 1 do
+    let kv = sk.{k} in
+    let d = (kv lsr sh) land 3 in
+    let p = cnt.(d) in
+    dk.{p} <- kv;
+    ds.{p} <- ss.{k};
+    cnt.(d) <- p + 1
+  done
+
+(* The sequential build over key/slot columns, one [partition] per
+   split. [fine] says the key column already holds lo words; crossing
+   level [bits] reloads the column in place (the hi words are constant
+   across the range there) and continues at the same depth. Splits
+   happen above [max_depth <= 42], so the lo word never runs out. *)
 let rec build_sorted t (sk : iarr) (ss : iarr) (dk : iarr) (ds : iarr) cnt lo
     hi node depth fine =
   if hi - lo <= t.capacity || depth >= t.max_depth then
@@ -754,32 +730,9 @@ let rec build_sorted t (sk : iarr) (ss : iarr) (dk : iarr) (ds : iarr) cnt lo
     let base = alloc_children t in
     t.child.(node) <- base;
     t.count.(node) <- hi - lo;
-    let sh =
-      if fine then 2 * (bits_fine - 1 - depth) else 2 * (bits - 1 - depth)
-    in
-    cnt.(0) <- 0;
-    cnt.(1) <- 0;
-    cnt.(2) <- 0;
-    cnt.(3) <- 0;
-    for k = lo to hi - 1 do
-      let d = (sk.{k} lsr sh) land 3 in
-      cnt.(d) <- cnt.(d) + 1
-    done;
-    let e1 = lo + cnt.(0) in
-    let e2 = e1 + cnt.(1) in
-    let e3 = e2 + cnt.(2) in
-    cnt.(0) <- lo;
-    cnt.(1) <- e1;
-    cnt.(2) <- e2;
-    cnt.(3) <- e3;
-    for k = lo to hi - 1 do
-      let kv = sk.{k} in
-      let d = (kv lsr sh) land 3 in
-      let p = cnt.(d) in
-      dk.{p} <- kv;
-      ds.{p} <- ss.{k};
-      cnt.(d) <- p + 1
-    done;
+    partition sk ss dk ds cnt lo hi
+      (if fine then 2 * (bits_fine - 1 - depth) else 2 * (bits - 1 - depth));
+    let e1 = cnt.(0) and e2 = cnt.(1) and e3 = cnt.(2) in
     let cdepth = depth + 1 in
     build_sorted t dk ds sk ss cnt lo e1 base cdepth fine;
     build_sorted t dk ds sk ss cnt e1 e2 (base + 1) cdepth fine;
@@ -912,30 +865,8 @@ let rec expand t (sk : iarr) (ss : iarr) (dk : iarr) (ds : iarr) cnt acc
     P_task { id }
   end
   else begin
-    let sh = 2 * (bits - 1 - depth) in
-    cnt.(0) <- 0;
-    cnt.(1) <- 0;
-    cnt.(2) <- 0;
-    cnt.(3) <- 0;
-    for k = lo to hi - 1 do
-      let d = (sk.{k} lsr sh) land 3 in
-      cnt.(d) <- cnt.(d) + 1
-    done;
-    let e1 = lo + cnt.(0) in
-    let e2 = e1 + cnt.(1) in
-    let e3 = e2 + cnt.(2) in
-    cnt.(0) <- lo;
-    cnt.(1) <- e1;
-    cnt.(2) <- e2;
-    cnt.(3) <- e3;
-    for k = lo to hi - 1 do
-      let kv = sk.{k} in
-      let d = (kv lsr sh) land 3 in
-      let p = cnt.(d) in
-      dk.{p} <- kv;
-      ds.{p} <- ss.{k};
-      cnt.(d) <- p + 1
-    done;
+    partition sk ss dk ds cnt lo hi (2 * (bits - 1 - depth));
+    let e1 = cnt.(0) and e2 = cnt.(1) and e3 = cnt.(2) in
     let cdepth = depth + 1 in
     let p0 = expand t dk ds sk ss cnt acc nacc lo e1 cdepth split_depth in
     let p1 = expand t dk ds sk ss cnt acc nacc e1 e2 cdepth split_depth in
@@ -1048,8 +979,8 @@ let parallel_build t n pool keys slots keys2 slots2 =
    columns (slots 0 .. n-1) and [t.size = n]; sort and emit. *)
 let bulk_build t n ~jobs ~pool ~packed =
   (* The root leaf registered by [create] is replaced wholesale by the
-     build's own registration, mirroring Pr_builder.split_node
-     accounting. *)
+     build's own registration: [emit_leaf] registers every leaf,
+     the root included when it stays one. *)
   t.leaves <- 0;
   t.hist.(0) <- 0;
   t.height <- 0;
@@ -1085,99 +1016,60 @@ let bulk_build t n ~jobs ~pool ~packed =
         let cnt = Array.make 4 0 in
         build_sorted t keys slots keys2 slots2 cnt 0 n 0 0 false))
 
-(* Fills slot [i] and returns the stored code, so packed-path callers
-   can build their sort keys inside the fill loop instead of re-reading
-   the codes column in a second pass. *)
-let bulk_fill t i p =
-  if not (Point.in_unit_square p) then
-    invalid_arg "Pr_arena bulk build: point outside bounds";
-  (* The encode is written out inline, as in [insert]: a float passed to
-     a non-inlined call gets boxed, and two boxes per point is exactly
-     the O(n) minor-heap traffic the bulk path promises not to have (the
-     alloc test measures this loop). Kept unboxed, the reads feed the
-     Bigarray stores and the quantizing multiply directly. *)
-  let x = p.Point.x and y = p.Point.y in
-  t.xs.{i} <- x;
-  t.ys.{i} <- y;
-  let code =
-    Morton.interleave
-      (int_of_float (x *. quantize_scale))
-      (int_of_float (y *. quantize_scale))
-  in
-  t.codes.{i} <- code;
-  code
-
-(* The packed fast path applies to sequential, heap-backed builds small
-   enough for single-word keys (see [build_packed]); the entry points
-   share the predicate so they can fuse key packing into their fill
-   loops. *)
-let packed_capable t n ~jobs ~pool =
-  jobs = None && pool = None && n <= packed_slot_mask && t.backing = Heap
-
-let of_points_bulk ?max_depth ?backing ?jobs ?pool ~capacity ps =
-  let n = List.length ps in
-  let t = create ?max_depth ?backing ~reserve:n ~capacity () in
-  Probe.arena_build `Bulk ~inserts:n (fun () ->
-      let packed =
-        if packed_capable t n ~jobs ~pool then Some (Array.make (max n 1) 0)
-        else None
-      in
-      let i = ref 0 in
-      (match packed with
-      | Some a ->
-        List.iter
-          (fun p ->
-            let code = bulk_fill t !i p in
-            a.(!i) <- (code lsl bits) lor !i;
-            incr i)
-          ps
-      | None ->
-        List.iter
-          (fun p ->
-            ignore (bulk_fill t !i p : int);
-            incr i)
-          ps);
-      t.size <- n;
-      t.slots <- n;
-      bulk_build t n ~jobs ~pool ~packed);
-  t
-
 let bulk_of_fn ?max_depth ?backing ?jobs ?pool ~capacity ~n f =
   if n < 0 then invalid_arg "Pr_arena.bulk_of_fn: n < 0";
   let t = create ?max_depth ?backing ~reserve:n ~capacity () in
   Probe.arena_build `Bulk ~inserts:n (fun () ->
-      (* Generation is strictly in slot order 0 .. n-1 on the calling
-         domain, so a stateful generator (an RNG stream) draws exactly
-         as it would filling a list first — without the list. *)
+      (* The packed fast path (see [build_packed]) applies to sequential,
+         heap-backed builds small enough for single-word keys; its keys
+         are packed inside the fill loop rather than re-read from the
+         codes column in a second pass. *)
       let packed =
-        if packed_capable t n ~jobs ~pool then Some (Array.make (max n 1) 0)
+        if jobs = None && pool = None && n <= packed_slot_mask && t.backing = Heap
+        then Some (Array.make (max n 1) 0)
         else None
       in
-      (match packed with
-      | Some a ->
-        for i = 0 to n - 1 do
-          let code = bulk_fill t i (f i) in
-          a.(i) <- (code lsl bits) lor i
-        done
-      | None ->
-        for i = 0 to n - 1 do
-          ignore (bulk_fill t i (f i) : int)
-        done);
+      (* Generation is strictly in slot order 0 .. n-1 on the calling
+         domain, so a stateful generator (an RNG stream) draws exactly
+         as it would filling a list first — without the list. The
+         coordinates reach the columns and the quantizing multiply
+         unboxed: two float boxes per point would be exactly the O(n)
+         minor-heap traffic the bulk path promises not to have (the
+         alloc test measures this loop). *)
+      for i = 0 to n - 1 do
+        let p = f i in
+        if not (Point.in_unit_square p) then
+          invalid_arg "Pr_arena bulk build: point outside bounds";
+        t.xs.{i} <- p.Point.x;
+        t.ys.{i} <- p.Point.y;
+        let code = hi_code (fine_px p) (fine_py p) in
+        t.codes.{i} <- code;
+        match packed with Some a -> a.(i) <- (code lsl bits) lor i | None -> ()
+      done;
       t.size <- n;
       t.slots <- n;
       bulk_build t n ~jobs ~pool ~packed);
   t
 
+let of_points_bulk ?max_depth ?backing ?jobs ?pool ~capacity ps =
+  (* Indexed, not a list cursor: advancing a [ref] over the list pays a
+     write barrier per point, which at 2^20 points cost ~50 ms and 6 MB
+     of peak RSS in [popan serve] setup; the transient array does not. *)
+  let points = Array.of_list ps in
+  bulk_of_fn ?max_depth ?backing ?jobs ?pool ~capacity
+    ~n:(Array.length points) (fun i -> points.(i))
+
 (* Analysis paths. *)
 
-let leaf_points t node =
-  let rec go acc slot =
-    if slot < 0 then acc
-    else go (Point.make t.xs.{slot} t.ys.{slot} :: acc) t.next.{slot}
-  in
-  (* Collect then reverse so the list follows chain order (for an
-     incremental build: reverse insertion order, like Pr_builder). *)
-  List.rev (go [] t.head.(node))
+(* A leaf's points in chain order (for an incremental build: reverse
+   insertion order). Built in place front to back, and each point as a
+   record literal — floats passed to [Point.make] across the module
+   boundary would be boxed — so the list is the only allocation. *)
+let[@tail_mod_cons] rec chain_points t slot =
+  if slot < 0 then []
+  else { Point.x = t.xs.{slot}; y = t.ys.{slot} } :: chain_points t t.next.{slot}
+
+let leaf_points t node = chain_points t t.head.(node)
 
 let fold_leaves t ~init ~f =
   let rec go acc node ~depth ~box =
@@ -1575,46 +1467,41 @@ let k_nearest ?cost t k (p : Point.t) =
     Pqueue.Neighbors.drain_nearest nbrs
   end
 
+(* The readers' point descent: [locate]'s walk without the path. It
+   writes nothing — no [t.path], no other scratch — so any number of
+   domains may run it on one arena. Returns the leaf's id and depth
+   packed as [(node lsl 6) lor depth] (depth <= 42), so neither needs a
+   heap cell. *)
+let rec leaf_of t node depth code qx qy =
+  let base = t.child.(node) in
+  if base < 0 then (node lsl 6) lor depth
+  else leaf_of t (base + child_pair code qx qy depth) (depth + 1) code qx qy
+
 (* A point descent enters one node per level: the root-to-leaf path of
-   [depth] internal steps visits [depth + 1] nodes. *)
+   [depth] internal steps visits [depth + 1] nodes. The leaf's block is
+   its exact dyadic cell — the fine ordinates truncated to their top
+   [depth] bits, side 2^-depth — which is bit for bit the box the
+   [Box.child] midpoint cascade reaches. *)
 let cell_at ?cost t (p : Point.t) =
   start_cost cost;
   if not (Point.in_unit_square p) then
     invalid_arg "Pr_arena.cell_at: point outside bounds";
-  let rec go node ~depth ~box =
-    let base = t.child.(node) in
-    if base < 0 then (depth, box, node)
-    else begin
-      let q = Box.quadrant_of box p in
-      go
-        (base + quad_pair.(Quadrant.to_index q))
-        ~depth:(depth + 1) ~box:(Box.child box q)
-    end
-  in
-  let depth, box, node = go 0 ~depth:0 ~box:Box.unit in
+  let qx = fine_px p and qy = fine_py p in
+  let leaf = leaf_of t 0 0 (hi_code qx qy) qx qy in
+  let depth = leaf land 63 in
   note_visited cost (depth + 1);
-  (depth, box, leaf_points t node)
-
-let mem t (p : Point.t) =
-  Point.in_unit_square p
-  && begin
-    let rec go node ~box =
-      let base = t.child.(node) in
-      if base < 0 then begin
-        let rec chase slot =
-          slot >= 0
-          && ((t.xs.{slot} = p.Point.x && t.ys.{slot} = p.Point.y)
-             || chase t.next.{slot})
-        in
-        chase t.head.(node)
-      end
-      else begin
-        let q = Box.quadrant_of box p in
-        go (base + quad_pair.(Quadrant.to_index q)) ~box:(Box.child box q)
-      end
-    in
-    go 0 ~box:Box.unit
-  end
+  let sh = bits_fine - depth in
+  let x0 = (qx lsr sh) lsl sh and y0 = (qy lsr sh) lsl sh in
+  let side = 1 lsl sh in
+  let box =
+    {
+      Box.xmin = float_of_int x0 *. inv_fine_scale;
+      ymin = float_of_int y0 *. inv_fine_scale;
+      xmax = float_of_int (x0 + side) *. inv_fine_scale;
+      ymax = float_of_int (y0 + side) *. inv_fine_scale;
+    }
+  in
+  (depth, box, leaf_points t (leaf lsr 6))
 
 (* --- Snapshots -------------------------------------------------------
 

@@ -1,8 +1,10 @@
 open Import
 
 (** The arena-backed PR quadtree core: the same canonical PR
-    decomposition as {!Pr_quadtree} and {!Pr_builder}, stored as a
-    structure of arrays instead of a boxed node graph.
+    decomposition as {!Pr_quadtree}, stored as a structure of arrays
+    instead of a boxed node graph. It is the one mutable PR-tree
+    implementation; {!Pr_quadtree} is the persistent reference it is
+    tested against.
 
     Nodes are int indices into flat growable arrays — a child-base table
     ([-1] marks a leaf; a non-negative entry is the index of the first
@@ -20,14 +22,14 @@ open Import
 
     - {b allocation-free inserts}: an insert is an integer walk down
       the child-base table driven by the point's Morton code — two bits
-      per level — followed by three column writes. Splits redistribute an intrusive chain
-      and bump-allocate four node indices. Nothing touches the minor
+      per level — followed by three column writes. Splits redistribute
+      an intrusive chain and bump-allocate four node indices. Nothing touches the minor
       heap except doubling a backing column ([make check] asserts the
       zero-minor-words claim via [Gc.minor_words]).
-    - {b two build paths}: {!of_points} grows incrementally with the
-      same O(1) statistics contract as {!Pr_builder} (size / leaves /
-      internals / height / occupancy histogram maintained per insert,
-      so per-step snapshots are free), and {!of_points_bulk} /
+    - {b two build paths}: {!of_points} grows incrementally with O(1)
+      statistics (size / leaves / internals / height / occupancy
+      histogram maintained per insert, so per-step snapshots are free),
+      and {!of_points_bulk} /
       {!bulk_of_fn} sort the Morton keys once — a top-down MSD radix
       partition, two bits per level — and emit the finished tree in a
       single pass, leaves left-to-right in Z-order. The bulk path has
@@ -45,16 +47,14 @@ open Import
       level a split can reach — cell boundaries are dyadic rationals,
       exactly representable, and [floor (x *. 2^42)] is computed without
       rounding — so both build paths produce bit-for-bit the
-      decomposition {!Pr_builder} and {!Pr_quadtree.of_points} produce,
-      and every build, churn and query path descends on integers the
-      whole way. Data in other bounds is normalized into the unit square
+      decomposition {!Pr_quadtree.of_points} produces, and every build,
+      churn and query path descends on integers the whole way. Data in other bounds is normalized into the unit square
       by the caller ([popan measure] does this at the CLI).
 
     {!freeze} converts a build into a persistent {!Pr_quadtree.t} and
     {!thaw} goes the other way, so snapshots, checkpoints and golden
-    tables are unchanged by the representation. {!Pr_builder} remains
-    the reference implementation; the test suite keeps the two
-    qcheck-equal. *)
+    tables are unchanged by the representation; the test suite keeps
+    the two qcheck-equal. *)
 
 type t
 
@@ -213,7 +213,7 @@ val average_occupancy : t -> float
 
 (** [fold_leaves t ~init ~f] folds [f] over every leaf with its depth,
     block, stored points and their count. Leaves are visited in the
-    same child order as {!Pr_builder.fold_leaves} (NW, NE, SW, SE).
+    same child order as {!Pr_quadtree.fold_leaves} (NW, NE, SW, SE).
     The point lists are materialized per leaf; this is an analysis
     path, not a build path. *)
 val fold_leaves :
@@ -294,12 +294,11 @@ val k_nearest : ?cost:cost -> t -> int -> Point.t -> Point.t list
 
 (** [cell_at ?cost t p] is the leaf cell containing [p]: its depth, its
     block, and the points stored in it — the arena analog of
-    {!Pr_quadtree.leaf_at}. A point descent enters [depth + 1] nodes.
-    Raises [Invalid_argument] when [p] is outside the unit square. *)
+    {!Pr_quadtree.leaf_at}. A point descent enters [depth + 1] nodes;
+    it runs on integer Morton bits, writes nothing, and allocates only
+    the answer. Raises [Invalid_argument] when [p] is outside the unit
+    square. *)
 val cell_at : ?cost:cost -> t -> Point.t -> int * Box.t * Point.t list
-
-(** [mem t p] is whether some stored point equals [p] exactly. *)
-val mem : t -> Point.t -> bool
 
 (** [snapshot t] is an independent heap-backed deep copy of the arena —
     columns, node tables, free lists and counters — sharing no mutable

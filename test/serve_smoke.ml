@@ -8,7 +8,8 @@
    server publishes through a left-right pair, so epochs 2 and 3 are
    served from arenas the writer brought forward by replaying earlier
    churn slices: a torn arena or a replay that drifted would show up as
-   a byte diff. *)
+   a byte diff. A socket phase checks that a client hanging up before
+   reading its reply ends only its own conversation. *)
 
 module Point = Popan_geom.Point
 module Box = Popan_geom.Box
@@ -182,18 +183,15 @@ let truncated_frame_refused () =
    churn state intact — the second client's batch is the oracle's
    SECOND batch — and shut down only when a client finally sends
    Quit. *)
-let multi_client_socket () =
-  let what = "socket" in
+(* Spawn `popan serve --socket` on a socket in a fresh private
+   directory and wait until it is bound. Returns the pid, the socket
+   path and a cleanup for the directory. *)
+let spawn_socket_server what args =
   let dir = Filename.temp_file "popan_serve" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
   let path = Filename.concat dir "sock" in
-  let argv =
-    [| popan_exe; "serve"; "--socket"; path; "-j"; "2";
-       "-n"; string_of_int base_points;
-       "--seed"; string_of_int seed;
-       "--churn-ops"; string_of_int churn_ops |]
-  in
+  let argv = Array.of_list (popan_exe :: "serve" :: "--socket" :: path :: args) in
   let pid = Unix.create_process popan_exe argv Unix.stdin Unix.stdout Unix.stderr in
   let rec wait_sock tries =
     if not (Sys.file_exists path) then
@@ -204,15 +202,30 @@ let multi_client_socket () =
       end
   in
   wait_sock 200;
-  let connect () =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_UNIX path);
-    let ic = Unix.in_channel_of_descr fd in
-    let oc = Unix.out_channel_of_descr fd in
-    set_binary_mode_in ic true;
-    set_binary_mode_out oc true;
-    (fd, ic, oc)
+  let cleanup () =
+    (try Sys.remove path with Sys_error _ -> ());
+    try Unix.rmdir dir with Unix.Unix_error _ -> ()
   in
+  (pid, path, cleanup)
+
+let connect path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  let ic = Unix.in_channel_of_descr fd in
+  let oc = Unix.out_channel_of_descr fd in
+  set_binary_mode_in ic true;
+  set_binary_mode_out oc true;
+  (fd, ic, oc)
+
+let multi_client_socket () =
+  let what = "socket" in
+  let pid, path, cleanup =
+    spawn_socket_server what
+      [ "-j"; "2"; "-n"; string_of_int base_points;
+        "--seed"; string_of_int seed;
+        "--churn-ops"; string_of_int churn_ops ]
+  in
+  let connect () = connect path in
   let batch_of (oracle_epoch, oracle_answers) client ic oc =
     Wire.write_request oc (Wire.Batch queries);
     match expect_response ic what with
@@ -246,8 +259,46 @@ let multi_client_socket () =
   flush oc2;
   Unix.close fd2;
   wait_clean pid what;
-  (try Sys.remove path with Sys_error _ -> ());
-  try Unix.rmdir dir with Unix.Unix_error _ -> ()
+  cleanup ()
+
+(* A client that sends a request and hangs up without reading the
+   reply: the whole square's 50,000 points make a reply of about 800 KB,
+   more than the socket buffers hold, so the server's write meets a
+   closed peer whatever the timing. The server must survive it (no
+   SIGPIPE death), count it in serve.disconnects, answer the next
+   client's Stats and exit 0 on its Quit. *)
+let hangup_socket () =
+  let what = "hang-up" in
+  let n = 50_000 in
+  let pid, path, cleanup =
+    spawn_socket_server what
+      [ "--telemetry"; "-n"; string_of_int n; "--churn-ops"; "0" ]
+  in
+  let _, _, oc1 = connect path in
+  Wire.write_request oc1 (Wire.Batch [| Wire.Range Box.unit |]);
+  close_out oc1;
+  let _, ic2, oc2 = connect path in
+  Wire.write_request oc2 Wire.Stats;
+  (match expect_response ic2 what with
+  | Wire.Stats_info { size; _ } ->
+    if size <> n then fail "%s: next client sees %d points, expected %d" what size n
+  | _ -> fail "%s: expected Stats_info after a client hung up" what);
+  Wire.write_request oc2 Wire.Telemetry;
+  (match expect_response ic2 what with
+  | Wire.Telemetry_info info ->
+    if
+      not
+        (List.mem "popan_serve_disconnects 1"
+           (String.split_on_char '\n' info.Wire.prometheus))
+    then fail "%s: serve.disconnects is not 1 in the scrape" what
+  | _ -> fail "%s: expected Telemetry_info" what);
+  Wire.write_request oc2 Wire.Quit;
+  (match expect_response ic2 what with
+  | Wire.Bye -> ()
+  | _ -> fail "%s: expected Bye" what);
+  close_out oc2;
+  wait_clean pid what;
+  cleanup ()
 
 (* The telemetry conversation: a server spawned with [--telemetry]
    answers the same two batches, then a [Telemetry] scrape must come
@@ -337,14 +388,16 @@ let () =
       check_against_oracle jobs result)
     [ 1; 2; 4 ];
   multi_client_socket ();
+  hangup_socket ();
   truncated_frame_refused ();
   telemetry_scrape_consistent ();
   Printf.printf
     "serve smoke: %dx %d-query batches over the wire byte-identical to the \
      sequential oracle at jobs 1/2/4 \
      (epochs 0 -> %d under live churn, the later ones replayed); two \
-     sequential socket clients served, state intact; truncated frame \
-     refused; full-telemetry \
+     sequential socket clients served, state intact; a client that hung \
+     up unread counted and survived; truncated frame refused; \
+     full-telemetry \
      scrape consistent (every query in the sketches, publish events \
      retained)\n"
     batch_count batch_size (batch_count - 1)

@@ -13,7 +13,7 @@
 
 module Point = Popan_geom.Point
 module Pr_arena = Popan_trees.Pr_arena
-module Pr_builder = Popan_trees.Pr_builder
+module Pr_quadtree = Popan_trees.Pr_quadtree
 module Xoshiro = Popan_rng.Xoshiro
 module Sampler = Popan_rng.Sampler
 
@@ -63,25 +63,26 @@ let tests =
               words (inserts - 1)
               (words /. float_of_int (inserts - 1))
         end);
-    Alcotest.test_case "positive control: Pr_builder inserts do allocate"
+    Alcotest.test_case "positive control: Pr_quadtree inserts do allocate"
       `Quick (fun () ->
         (* If the measurement harness ever stops seeing allocation, the
-           zero-alloc assertion above becomes vacuous — the cons-cell
-           reference implementation proves the meter still works. *)
+           zero-alloc assertion above becomes vacuous — the persistent
+           tree, which copies its root-to-leaf path and conses a leaf
+           list per insert, proves the meter still works. *)
         if not native then print_endline "skipped: bytecode boxes floats"
         else begin
           let pts = points () in
-          let b = Pr_builder.create ~capacity:inserts () in
-          Pr_builder.insert b pts.(0);
+          let t = ref (Pr_quadtree.create ~capacity:inserts ()) in
+          t := Pr_quadtree.insert !t pts.(0);
           let words =
             measure (fun () ->
                 for i = 1 to inserts - 1 do
-                  Pr_builder.insert b pts.(i)
+                  t := Pr_quadtree.insert !t pts.(i)
                 done)
           in
           if words < float_of_int inserts then
             Alcotest.failf
-              "expected the boxed builder to allocate (got %.0f words); \
+              "expected the persistent tree to allocate (got %.0f words); \
                the allocation meter is broken"
               words
         end);
@@ -280,6 +281,55 @@ let tests =
                words/query); the descent must only allocate its answer"
               nearest_words queries
               (nearest_words /. float_of_int queries)
+        end);
+    Alcotest.test_case "cell_at allocates only its answer, nothing per level"
+      `Quick (fun () ->
+        (* The point descent picks each child by integer pair bits at
+           every depth, the fine-ordinate levels below 21 included, and
+           builds the leaf block from its exact dyadic corner. So a
+           lookup allocates its answer and nothing else: the (depth,
+           box, points) tuple (4 words), the box (5) and, per point, a
+           cons cell and a point record (6). The probes are clusters at
+           max_depth 42 whose points part only below level 21, so one
+           word per level would add tens of thousands. *)
+        if not native then print_endline "skipped: bytecode boxes floats"
+        else begin
+          let rng = Xoshiro.of_int_seed 4343 in
+          let clusters = 1_000 in
+          let pts =
+            List.concat
+              (List.init clusters (fun _ ->
+                   (* A corner on the 2^-20 grid, so the offsets below
+                      never carry into the top 21 bits. *)
+                   let x = ldexp (float_of_int (Xoshiro.int rng (1 lsl 20))) (-20)
+                   and y = ldexp (float_of_int (Xoshiro.int rng (1 lsl 20))) (-20) in
+                   [ Point.make x y;
+                     Point.make (x +. ldexp 1.0 (-32)) y;
+                     Point.make x (y +. ldexp 1.0 (-38));
+                     Point.make (x +. ldexp 1.0 (-40)) (y +. ldexp 1.0 (-40)) ]))
+          in
+          let t = Pr_arena.of_points_bulk ~capacity:1 ~max_depth:42 pts in
+          let probes = Array.of_list pts in
+          ignore (Pr_arena.cell_at t probes.(0));
+          let depths = ref 0 and answer = ref 0 in
+          let words =
+            measure (fun () ->
+                Array.iter
+                  (fun p ->
+                    let depth, _, cell = Pr_arena.cell_at t p in
+                    depths := !depths + depth;
+                    answer := !answer + 9 + (6 * List.length cell))
+                  probes)
+          in
+          let n = Array.length probes in
+          Alcotest.check Alcotest.bool "descents go below level 21" true
+            (!depths / n > 21);
+          if words > float_of_int !answer +. slack then
+            Alcotest.failf
+              "cell_at allocated %.0f minor words over %d lookups for %d \
+               answer words (mean depth %d); the descent must allocate \
+               only its answer"
+              words n !answer (!depths / n)
         end);
   ]
 

@@ -72,6 +72,35 @@ let gen_point =
     let* y = float_bound_exclusive 1.0 in
     return (Point.make x y))
 
+(* Near-coincident points at max_depth 30 or 42: clusters around
+   corners on the 2^-20 grid, offset by 2^-23 .. 2^-40 so no offset
+   carries into the top 21 bits. Capacity-1 trees part them only below
+   level 21. *)
+let gen_cluster =
+  QCheck2.Gen.(
+    let* max_depth = oneofl [ 30; 42 ] in
+    let* corners =
+      list_size (int_range 1 4) (pair (int_bound ((1 lsl 20) - 1))
+        (int_bound ((1 lsl 20) - 1)))
+    in
+    let* offsets =
+      list_size (int_range 2 6)
+        (triple (int_range 23 40) (int_bound 3) (int_bound 3))
+    in
+    let corner i = ldexp (float_of_int i) (-20) in
+    return
+      ( max_depth,
+        List.concat_map
+          (fun (cx, cy) ->
+            Point.make (corner cx) (corner cy)
+            :: List.map
+                 (fun (e, kx, ky) ->
+                   Point.make
+                     (corner cx +. ldexp (float_of_int kx) (-e))
+                     (corner cy +. ldexp (float_of_int ky) (-e)))
+                 offsets)
+          corners ))
+
 (* A population with its arena and frozen oracle: half the runs a fresh
    bulk build, half a churned arena (free lists live, chains shuffled).
    The oracle tree is frozen from the arena itself, so both sides hold
@@ -178,22 +207,25 @@ let kernel_tests =
           && Pr_quadtree.mem tree a
         | _ -> false);
     prop ~count:80 "cell_at ≡ Pr_quadtree.leaf_at"
-      QCheck2.Gen.(pair gen_pair gen_point)
-      (fun ((arena, tree), p) ->
-        let da, ba, pa = Pr_arena.cell_at arena p in
-        let dt, bt, pt = Pr_quadtree.leaf_at tree p in
-        da = dt && Box.equal ba bt && sorted_points pa = sorted_points pt);
-    prop ~count:80 "mem ≡ Pr_quadtree.mem"
-      QCheck2.Gen.(pair gen_pair gen_point)
-      (fun ((arena, tree), p) ->
-        (* Probe both a random point (almost surely absent) and a point
-           known to be stored. *)
-        Pr_arena.mem arena p = Pr_quadtree.mem tree p
-        && (Pr_arena.is_empty arena
-           || List.for_all (Pr_arena.mem arena)
-                (match Pr_arena.points arena with
-                | [] -> []
-                | q :: _ -> [ q ])));
+      QCheck2.Gen.(triple gen_pair gen_point gen_cluster)
+      (fun ((arena, tree), p, (max_depth, cluster)) ->
+        let agree arena tree p =
+          let da, ba, pa = Pr_arena.cell_at arena p in
+          let dt, bt, pt = Pr_quadtree.leaf_at tree p in
+          da = dt && Box.equal ba bt && sorted_points pa = sorted_points pt
+        in
+        agree arena tree p
+        &&
+        (* The fine-ordinate levels of the descent (depth > 21), against
+           a float-midpoint tree built independently from the points:
+           every stored point's cell, from an incremental and a bulk
+           arena. *)
+        let reference = Pr_quadtree.of_points ~max_depth ~capacity:1 cluster in
+        let deep = Pr_arena.of_points ~max_depth ~capacity:1 cluster in
+        Pr_arena.height deep > 21
+        && List.for_all
+             (fun arena -> List.for_all (agree arena reference) (p :: cluster))
+             [ deep; Pr_arena.of_points_bulk ~max_depth ~capacity:1 cluster ]);
     Alcotest.test_case "k_nearest validates" `Quick (fun () ->
         let arena = Pr_arena.of_points_bulk ~capacity:4 (uniform_points 7 50) in
         let cost = Pr_arena.cost () in
@@ -1377,6 +1409,64 @@ let hostile_tests =
                 in
                 List.iter (run ~must_refuse:true) malformed;
                 List.iter (run ~must_refuse:false) maybe)));
+    Alcotest.test_case "a client that hangs up unread costs only its conversation"
+      `Quick (fun () ->
+        (* As [popan serve] does: a reply written to a departed client
+           must fail with EPIPE, not kill the process. *)
+        Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+        with_telemetry (fun () ->
+            let path = Filename.temp_file "popan" ".sock" in
+            Sys.remove path;
+            let n = 50_000 in
+            let server =
+              Domain.spawn (fun () ->
+                  Server.run ~socket:path
+                    {
+                      Server.default_config with
+                      base_points = n;
+                      churn_ops = 0;
+                      jobs = Some 1;
+                    })
+            in
+            let connect () =
+              let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+              let rec go tries =
+                match Unix.connect fd (Unix.ADDR_UNIX path) with
+                | () -> fd
+                | exception
+                    Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+                  when tries > 0 ->
+                  Unix.sleepf 0.05;
+                  go (tries - 1)
+              in
+              go 200
+            in
+            (* The whole square's points make a reply of about 800 KB,
+               more than the socket buffers hold: whether the client is
+               gone before the write starts or leaves while it blocks,
+               the server's write meets a closed peer. *)
+            let oc = Unix.out_channel_of_descr (connect ()) in
+            Wire.write_request oc (Wire.Batch [| Wire.Range Box.unit |]);
+            close_out oc;
+            let fd = connect () in
+            let ic = Unix.in_channel_of_descr fd
+            and oc = Unix.out_channel_of_descr fd in
+            let ask req =
+              Wire.write_request oc req;
+              flush oc;
+              Wire.read_response ic
+            in
+            (match ask Wire.Stats with
+            | Some (Ok (Wire.Stats_info { size; _ })) ->
+              check_int "the next client is served" n size
+            | _ -> Alcotest.fail "no Stats reply after a client hung up");
+            (match ask Wire.Quit with
+            | Some (Ok Wire.Bye) -> ()
+            | _ -> Alcotest.fail "no Bye reply to Quit");
+            close_out oc;
+            Domain.join server;
+            check_int "counted in serve.disconnects" 1
+              (Metrics.counter_value (Metrics.counter "serve.disconnects"))));
   ]
 
 let () =

@@ -325,149 +325,9 @@ let pr_tests =
         Pr_quadtree.check_invariants !t = []);
   ]
 
-(* Pr_builder: the mutable simulation core must agree with the
-   persistent structure in decomposition and in every incrementally
-   maintained statistic. *)
-
-let pr_builder_tests =
-  [
-    Alcotest.test_case "empty builder statistics" `Quick (fun () ->
-        let b = Pr_builder.create ~capacity:3 () in
-        check_int "size" 0 (Pr_builder.size b);
-        check_int "leaves" 1 (Pr_builder.leaf_count b);
-        check_int "internals" 0 (Pr_builder.internal_count b);
-        check_int "height" 0 (Pr_builder.height b);
-        check_bool "empty" true (Pr_builder.is_empty b);
-        Alcotest.(check (array int)) "hist" [| 1; 0; 0; 0 |]
-          (Pr_builder.occupancy_histogram b));
-    Alcotest.test_case "create validates" `Quick (fun () ->
-        Alcotest.check_raises "cap"
-          (Invalid_argument "Pr_builder.create: capacity < 1") (fun () ->
-            ignore (Pr_builder.create ~capacity:0 ())));
-    Alcotest.test_case "insert outside bounds rejected" `Quick (fun () ->
-        let b = Pr_builder.create ~capacity:1 () in
-        Alcotest.check_raises "out"
-          (Invalid_argument "Pr_builder.insert: point outside bounds")
-          (fun () -> Pr_builder.insert b (Point.make 1.5 0.5)));
-    Alcotest.test_case "freeze of empty equals empty tree" `Quick (fun () ->
-        let b = Pr_builder.create ~capacity:2 () in
-        check_bool "equal" true
-          (Pr_quadtree.equal_structure (Pr_builder.freeze b)
-             (Pr_quadtree.create ~capacity:2 ())));
-    Alcotest.test_case "max_depth truncates and clamps histogram" `Quick
-      (fun () ->
-        let p = Point.make 0.3 0.3 in
-        let b = Pr_builder.of_points ~capacity:1 ~max_depth:5 [ p; p; p ] in
-        check_int "size" 3 (Pr_builder.size b);
-        check_bool "height capped" true (Pr_builder.height b <= 5);
-        let hist = Pr_builder.occupancy_histogram b in
-        check_int "clamped cell" 1 hist.(1);
-        no_violations "inv" (Pr_builder.check_invariants b));
-    Alcotest.test_case "frozen snapshot survives further growth" `Quick
-      (fun () ->
-        (* Inserts replace leaf lists rather than mutating them, so a
-           frozen snapshot keeps its own view of the tree. *)
-        let pts = uniform_points 130 200 in
-        let first, rest =
-          (List.filteri (fun i _ -> i < 100) pts,
-           List.filteri (fun i _ -> i >= 100) pts)
-        in
-        let b = Pr_builder.of_points ~capacity:2 first in
-        let snapshot = Pr_quadtree.of_points ~capacity:2 first in
-        let frozen = Pr_builder.freeze b in
-        Pr_builder.insert_all b rest;
-        check_bool "snapshot intact" true
-          (Pr_quadtree.equal_structure frozen snapshot);
-        check_bool "builder moved on" true
-          (Pr_quadtree.equal_structure (Pr_builder.freeze b)
-             (Pr_quadtree.of_points ~capacity:2 pts)));
-    Alcotest.test_case "thaw resumes a persistent build" `Quick (fun () ->
-        let pts = uniform_points 131 150 in
-        let first, rest =
-          (List.filteri (fun i _ -> i < 75) pts,
-           List.filteri (fun i _ -> i >= 75) pts)
-        in
-        let b = Pr_builder.thaw (Pr_quadtree.of_points ~capacity:3 first) in
-        Pr_builder.insert_all b rest;
-        check_bool "same tree" true
-          (Pr_quadtree.equal_structure (Pr_builder.freeze b)
-             (Pr_quadtree.of_points ~capacity:3 pts)));
-    Alcotest.test_case "fold_leaves counts are free and correct" `Quick
-      (fun () ->
-        let b = Pr_builder.of_points ~capacity:4 (uniform_points 132 300) in
-        Pr_builder.fold_leaves b ~init:()
-          ~f:(fun () ~depth:_ ~box ~points ~count ->
-            check_int "count" (List.length points) count;
-            List.iter
-              (fun p ->
-                if not (Box.contains box p) then
-                  Alcotest.fail "point outside its leaf block")
-              points));
-    prop "freeze equals of_points for any point set and capacity"
-      QCheck2.Gen.(pair (int_range 0 10_000) (int_range 1 6))
-      (fun (seed, capacity) ->
-        let pts = uniform_points seed 250 in
-        let b = Pr_builder.of_points ~capacity pts in
-        let frozen = Pr_builder.freeze b in
-        Pr_quadtree.equal_structure frozen (Pr_quadtree.of_points ~capacity pts)
-        && Pr_quadtree.check_invariants frozen = []);
-    prop "incremental statistics match the frozen tree's recomputation"
-      QCheck2.Gen.(pair (int_range 0 10_000) (int_range 1 8))
-      (fun (seed, capacity) ->
-        let pts = uniform_points seed 300 in
-        let b = Pr_builder.of_points ~capacity pts in
-        let frozen = Pr_builder.freeze b in
-        Pr_builder.size b = Pr_quadtree.size frozen
-        && Pr_builder.leaf_count b = Pr_quadtree.leaf_count frozen
-        && Pr_builder.internal_count b = Pr_quadtree.internal_count frozen
-        && Pr_builder.height b = Pr_quadtree.height frozen
-        && Pr_builder.occupancy_histogram b
-           = Pr_quadtree.occupancy_histogram frozen
-        && Pr_builder.average_occupancy b
-           = Pr_quadtree.average_occupancy frozen
-        && Pr_builder.check_invariants b = []);
-    prop "thaw then freeze is the identity"
-      QCheck2.Gen.(pair (int_range 0 5000) (int_range 1 5))
-      (fun (seed, capacity) ->
-        let t = Pr_quadtree.of_points ~capacity (uniform_points seed 150) in
-        let b = Pr_builder.thaw t in
-        Pr_quadtree.equal_structure t (Pr_builder.freeze b)
-        && Pr_builder.leaf_count b = Pr_quadtree.leaf_count t
-        && Pr_builder.height b = Pr_quadtree.height t
-        && Pr_builder.check_invariants b = []);
-    Alcotest.test_case "freeze/thaw at max_depth saturation, duplicates"
-      `Quick (fun () ->
-        (* Duplicate coordinates can never be separated by splitting, so
-           the depth cap takes over and the leaf holds more points than
-           its capacity. Freeze, thaw and the incremental statistics all
-           have to agree on that clamped shape. *)
-        let p = Point.make 0.3 0.3 in
-        let dups = [ p; p; p; p; p ] in
-        let b = Pr_builder.of_points ~capacity:1 ~max_depth:3 dups in
-        check_int "height capped" 3 (Pr_builder.height b);
-        check_int "size" 5 (Pr_builder.size b);
-        no_violations "builder inv" (Pr_builder.check_invariants b);
-        (* The histogram clamps the over-capacity leaf into its last cell. *)
-        let hist = Pr_builder.occupancy_histogram b in
-        check_int "clamped cell" 1 (hist.(Array.length hist - 1));
-        let frozen = Pr_builder.freeze b in
-        check_bool "matches persistent build" true
-          (Pr_quadtree.equal_structure frozen
-             (Pr_quadtree.of_points ~capacity:1 ~max_depth:3 dups));
-        check_bool "histograms agree" true
-          (Pr_quadtree.occupancy_histogram frozen = hist);
-        (* Thaw the saturated tree and keep growing it at the same spot:
-           the cap must hold and the statistics must stay consistent. *)
-        let b' = Pr_builder.thaw frozen in
-        Pr_builder.insert_all b' [ p; p ];
-        check_int "still capped" 3 (Pr_builder.height b');
-        check_int "grown size" 7 (Pr_builder.size b');
-        no_violations "thawed inv" (Pr_builder.check_invariants b');
-        check_bool "frozen snapshot unaffected" true
-          (Pr_quadtree.size frozen = 5));
-  ]
-
-(* Arena-backed builder *)
+(* Arena-backed PR quadtree: the mutable simulation core must agree
+   with the persistent structure in decomposition and in every
+   incrementally maintained statistic. *)
 
 let pr_arena_tests =
   [
@@ -579,21 +439,24 @@ let pr_arena_tests =
                 if not (Box.contains box p) then
                   Alcotest.fail "point outside its leaf block")
               points));
-    Alcotest.test_case "fold_leaves visits leaves like Pr_builder" `Quick
+    Alcotest.test_case "fold_leaves visits leaves like Pr_quadtree" `Quick
       (fun () ->
         (* Same traversal order (NW, NE, SW, SE), depths, boxes and
            counts — Depth_profile depends on the leaf sequence. *)
         let pts = uniform_points 133 400 in
-        let visit fold =
+        let via_arena =
           List.rev
-            (fold ~init:[] ~f:(fun acc ~depth ~box ~points:_ ~count ->
+            (Pr_arena.fold_leaves (Pr_arena.of_points ~capacity:3 pts)
+               ~init:[] ~f:(fun acc ~depth ~box ~points:_ ~count ->
                  (depth, box, count) :: acc))
         in
-        let via_arena = visit (Pr_arena.fold_leaves (Pr_arena.of_points ~capacity:3 pts)) in
-        let via_builder =
-          visit (Pr_builder.fold_leaves (Pr_builder.of_points ~capacity:3 pts))
+        let via_tree =
+          List.rev
+            (Pr_quadtree.fold_leaves (Pr_quadtree.of_points ~capacity:3 pts)
+               ~init:[] ~f:(fun acc ~depth ~box ~points ->
+                 (depth, box, List.length points) :: acc))
         in
-        check_bool "same leaf sequence" true (via_arena = via_builder));
+        check_bool "same leaf sequence" true (via_arena = via_tree));
     prop "freeze equals of_points for any point set and capacity"
       QCheck2.Gen.(pair (int_range 0 10_000) (int_range 1 6))
       (fun (seed, capacity) ->
@@ -602,17 +465,16 @@ let pr_arena_tests =
         let frozen = Pr_arena.freeze a in
         Pr_quadtree.equal_structure frozen (Pr_quadtree.of_points ~capacity pts)
         && Pr_quadtree.check_invariants frozen = []);
-    prop "bulk build equals incremental build (and Pr_builder)"
+    prop "bulk build equals incremental build (and Pr_quadtree)"
       QCheck2.Gen.(triple (int_range 0 10_000) (int_range 1 6) (int_range 2 12))
       (fun (seed, capacity, max_depth) ->
         let pts = uniform_points seed 250 in
         let bulk = Pr_arena.of_points_bulk ~capacity ~max_depth pts in
         let inc = Pr_arena.of_points ~capacity ~max_depth pts in
-        let reference = Pr_builder.of_points ~capacity ~max_depth pts in
+        let reference = Pr_quadtree.of_points ~capacity ~max_depth pts in
         Pr_quadtree.equal_structure (Pr_arena.freeze bulk)
           (Pr_arena.freeze inc)
-        && Pr_quadtree.equal_structure (Pr_arena.freeze bulk)
-             (Pr_builder.freeze reference)
+        && Pr_quadtree.equal_structure (Pr_arena.freeze bulk) reference
         && Pr_arena.leaf_count bulk = Pr_arena.leaf_count inc
         && Pr_arena.internal_count bulk = Pr_arena.internal_count inc
         && Pr_arena.height bulk = Pr_arena.height inc
@@ -678,15 +540,13 @@ let pr_arena_tests =
           [ base; Point.make (base.Point.x +. eps) (base.Point.y +. eps);
             base; Point.make 0.7 0.2 ]
         in
-        let reference = Pr_builder.of_points ~capacity:1 ~max_depth:30 pts in
+        let reference = Pr_quadtree.of_points ~capacity:1 ~max_depth:30 pts in
         let inc = Pr_arena.of_points ~capacity:1 ~max_depth:30 pts in
         let bulk = Pr_arena.of_points_bulk ~capacity:1 ~max_depth:30 pts in
         check_bool "incremental matches" true
-          (Pr_quadtree.equal_structure (Pr_arena.freeze inc)
-             (Pr_builder.freeze reference));
+          (Pr_quadtree.equal_structure (Pr_arena.freeze inc) reference);
         check_bool "bulk matches" true
-          (Pr_quadtree.equal_structure (Pr_arena.freeze bulk)
-             (Pr_builder.freeze reference));
+          (Pr_quadtree.equal_structure (Pr_arena.freeze bulk) reference);
         check_bool "went below the code bits" true (Pr_arena.height inc > 21);
         no_violations "inv inc" (Pr_arena.check_invariants inc);
         no_violations "inv bulk" (Pr_arena.check_invariants bulk));
@@ -900,9 +760,6 @@ let pr_arena_bulk_tests =
           Pr_arena.freeze (Pr_arena.of_points_bulk ~capacity ~max_depth pts)
         in
         let reference = Pr_quadtree.of_points ~capacity ~max_depth pts in
-        let builder =
-          Pr_builder.freeze (Pr_builder.of_points ~capacity ~max_depth pts)
-        in
         List.for_all
           (fun jobs ->
             let par =
@@ -911,8 +768,7 @@ let pr_arena_bulk_tests =
             Pr_arena.check_invariants par = []
             && Pr_quadtree.equal_structure (Pr_arena.freeze par) sequential)
           [ 1; 2; 4 ]
-        && Pr_quadtree.equal_structure sequential reference
-        && Pr_quadtree.equal_structure sequential builder);
+        && Pr_quadtree.equal_structure sequential reference);
     prop "bulk_of_fn streams the same tree as the point list"
       QCheck2.Gen.(pair (int_range 0 10_000) (int_range 1 6))
       (fun (seed, capacity) ->
@@ -1016,6 +872,182 @@ let pr_arena_bulk_tests =
         Alcotest.check_raises "capacity < 1"
           (Invalid_argument "Pr_arena.bulk_footprint: capacity < 1") (fun () ->
             ignore (Pr_arena.bulk_footprint ~capacity:0 ~n:1)));
+  ]
+
+(* PR-tree builders: an arena started by the bulk loader (the entry
+   point of every serve epoch and large experiment) must meet the same
+   contract as the incremental path above, and keep meeting it once
+   insert or thaw/freeze grow it further. *)
+
+let pr_builder_tests =
+  let split_at k pts =
+    (List.filteri (fun i _ -> i < k) pts, List.filteri (fun i _ -> i >= k) pts)
+  in
+  [
+    Alcotest.test_case "empty builder statistics" `Quick (fun () ->
+        let a = Pr_arena.of_points_bulk ~capacity:3 [] in
+        check_int "size" 0 (Pr_arena.size a);
+        check_int "leaves" 1 (Pr_arena.leaf_count a);
+        check_int "internals" 0 (Pr_arena.internal_count a);
+        check_int "height" 0 (Pr_arena.height a);
+        check_bool "empty" true (Pr_arena.is_empty a);
+        Alcotest.(check (array int)) "hist" [| 1; 0; 0; 0 |]
+          (Pr_arena.occupancy_histogram a);
+        let f = Pr_arena.bulk_of_fn ~capacity:3 ~n:0 (fun _ -> assert false) in
+        check_bool "bulk_of_fn empty" true (Pr_arena.is_empty f));
+    Alcotest.test_case "create validates" `Quick (fun () ->
+        Alcotest.check_raises "bulk cap"
+          (Invalid_argument "Pr_arena.create: capacity < 1") (fun () ->
+            ignore (Pr_arena.of_points_bulk ~capacity:0 []));
+        Alcotest.check_raises "bulk_of_fn cap"
+          (Invalid_argument "Pr_arena.create: capacity < 1") (fun () ->
+            ignore
+              (Pr_arena.bulk_of_fn ~capacity:0 ~n:1 (fun _ ->
+                   Point.make 0.5 0.5))));
+    Alcotest.test_case "insert outside bounds rejected" `Quick (fun () ->
+        Alcotest.check_raises "bulk"
+          (Invalid_argument "Pr_arena bulk build: point outside bounds")
+          (fun () ->
+            ignore
+              (Pr_arena.of_points_bulk ~capacity:1
+                 [ Point.make 0.5 0.5; Point.make 1.5 0.5 ]));
+        let a = Pr_arena.of_points_bulk ~capacity:1 [ Point.make 0.5 0.5 ] in
+        Alcotest.check_raises "after bulk"
+          (Invalid_argument "Pr_arena.insert: point outside bounds")
+          (fun () -> Pr_arena.insert a (Point.make 0.5 (-0.5)));
+        check_int "size unchanged" 1 (Pr_arena.size a));
+    Alcotest.test_case "freeze of empty equals empty tree" `Quick (fun () ->
+        check_bool "equal" true
+          (Pr_quadtree.equal_structure
+             (Pr_arena.freeze (Pr_arena.of_points_bulk ~capacity:2 []))
+             (Pr_quadtree.create ~capacity:2 ())));
+    Alcotest.test_case "max_depth truncates and clamps histogram" `Quick
+      (fun () ->
+        let p = Point.make 0.3 0.3 in
+        let a = Pr_arena.of_points_bulk ~capacity:1 ~max_depth:5 [ p; p; p ] in
+        check_int "size" 3 (Pr_arena.size a);
+        check_bool "height capped" true (Pr_arena.height a <= 5);
+        let hist = Pr_arena.occupancy_histogram a in
+        check_int "clamped cell" 1 hist.(1);
+        no_violations "inv" (Pr_arena.check_invariants a));
+    Alcotest.test_case "frozen snapshot survives further growth" `Quick
+      (fun () ->
+        (* Both freeze and snapshot copy out of the arrays, so inserts
+           into the bulk-built arena cannot disturb either. *)
+        let first, rest = split_at 100 (uniform_points 130 200) in
+        let a = Pr_arena.of_points_bulk ~capacity:2 first in
+        let frozen = Pr_arena.freeze a in
+        let snap = Pr_arena.snapshot a in
+        Pr_arena.insert_all a rest;
+        let expected = Pr_quadtree.of_points ~capacity:2 first in
+        check_bool "frozen intact" true
+          (Pr_quadtree.equal_structure frozen expected);
+        check_bool "snapshot intact" true
+          (Pr_quadtree.equal_structure (Pr_arena.freeze snap) expected);
+        check_bool "arena moved on" true
+          (Pr_quadtree.equal_structure (Pr_arena.freeze a)
+             (Pr_quadtree.of_points ~capacity:2 (first @ rest))));
+    Alcotest.test_case "thaw resumes a persistent build" `Quick (fun () ->
+        (* thaw of a bulk-built freeze, grown by insert, lands on the
+           same tree as one bulk build of every point. *)
+        let pts = uniform_points 131 150 in
+        let first, rest = split_at 75 pts in
+        let a =
+          Pr_arena.thaw
+            (Pr_arena.freeze (Pr_arena.of_points_bulk ~capacity:3 first))
+        in
+        Pr_arena.insert_all a rest;
+        check_bool "same tree" true
+          (Pr_quadtree.equal_structure (Pr_arena.freeze a)
+             (Pr_arena.freeze (Pr_arena.of_points_bulk ~capacity:3 pts)));
+        no_violations "inv" (Pr_arena.check_invariants a));
+    Alcotest.test_case "fold_leaves counts are free and correct" `Quick
+      (fun () ->
+        let a = Pr_arena.of_points_bulk ~capacity:4 (uniform_points 132 300) in
+        let total =
+          Pr_arena.fold_leaves a ~init:0
+            ~f:(fun acc ~depth:_ ~box ~points ~count ->
+              check_int "count" (List.length points) count;
+              List.iter
+                (fun p ->
+                  if not (Box.contains box p) then
+                    Alcotest.fail "point outside its leaf block")
+                points;
+              acc + count)
+        in
+        check_int "every point in some leaf" 300 total);
+    prop "freeze equals of_points for any point set and capacity"
+      QCheck2.Gen.(pair (int_range 0 10_000) (int_range 1 6))
+      (fun (seed, capacity) ->
+        let pts = uniform_points seed 250 in
+        let arr = Array.of_list pts in
+        let bulk = Pr_arena.freeze (Pr_arena.of_points_bulk ~capacity pts) in
+        let streamed =
+          Pr_arena.freeze
+            (Pr_arena.bulk_of_fn ~capacity ~n:(Array.length arr)
+               (Array.get arr))
+        in
+        Pr_quadtree.equal_structure bulk (Pr_quadtree.of_points ~capacity pts)
+        && Pr_quadtree.equal_structure streamed bulk
+        && Pr_quadtree.check_invariants bulk = []);
+    prop "incremental statistics match the frozen tree's recomputation"
+      QCheck2.Gen.(pair (int_range 0 10_000) (int_range 1 8))
+      (fun (seed, capacity) ->
+        (* Statistics set by the bulk pass, then maintained by inserts. *)
+        let first, rest = split_at 200 (uniform_points seed 300) in
+        let a = Pr_arena.of_points_bulk ~capacity first in
+        Pr_arena.insert_all a rest;
+        let frozen = Pr_arena.freeze a in
+        Pr_arena.size a = Pr_quadtree.size frozen
+        && Pr_arena.leaf_count a = Pr_quadtree.leaf_count frozen
+        && Pr_arena.internal_count a = Pr_quadtree.internal_count frozen
+        && Pr_arena.height a = Pr_quadtree.height frozen
+        && Pr_arena.occupancy_histogram a
+           = Pr_quadtree.occupancy_histogram frozen
+        && Pr_arena.average_occupancy a = Pr_quadtree.average_occupancy frozen
+        && Pr_arena.check_invariants a = []);
+    prop "thaw then freeze is the identity"
+      QCheck2.Gen.(pair (int_range 0 5000) (int_range 1 5))
+      (fun (seed, capacity) ->
+        let pts = uniform_points seed 150 in
+        let t = Pr_quadtree.of_points ~capacity pts in
+        let a = Pr_arena.thaw t in
+        let bulk = Pr_arena.of_points_bulk ~capacity pts in
+        Pr_quadtree.equal_structure t (Pr_arena.freeze a)
+        && Pr_arena.leaf_count a = Pr_arena.leaf_count bulk
+        && Pr_arena.internal_count a = Pr_arena.internal_count bulk
+        && Pr_arena.height a = Pr_arena.height bulk
+        && Pr_arena.check_invariants a = []);
+    Alcotest.test_case "freeze/thaw at max_depth saturation, duplicates"
+      `Quick (fun () ->
+        (* Duplicates can never be separated by splitting, so the bulk
+           pass must stop at the depth cap with an over-capacity leaf,
+           exactly as repeated insertion does. *)
+        let p = Point.make 0.3 0.3 in
+        let dups = [ p; p; p; p; p ] in
+        let a = Pr_arena.of_points_bulk ~capacity:1 ~max_depth:3 dups in
+        check_int "height capped" 3 (Pr_arena.height a);
+        check_int "size" 5 (Pr_arena.size a);
+        no_violations "bulk inv" (Pr_arena.check_invariants a);
+        let hist = Pr_arena.occupancy_histogram a in
+        check_int "clamped cell" 1 hist.(Array.length hist - 1);
+        let frozen = Pr_arena.freeze a in
+        check_bool "matches persistent build" true
+          (Pr_quadtree.equal_structure frozen
+             (Pr_quadtree.of_points ~capacity:1 ~max_depth:3 dups));
+        check_bool "histograms agree" true
+          (Pr_quadtree.occupancy_histogram frozen = hist);
+        let a' = Pr_arena.thaw frozen in
+        Pr_arena.insert_all a' [ p; p ];
+        Pr_arena.insert_all a [ p; p ];
+        check_int "still capped" 3 (Pr_arena.height a');
+        check_int "grown size" 7 (Pr_arena.size a');
+        no_violations "thawed inv" (Pr_arena.check_invariants a');
+        check_bool "thawed equals grown bulk arena" true
+          (Pr_quadtree.equal_structure (Pr_arena.freeze a')
+             (Pr_arena.freeze a));
+        check_bool "frozen snapshot unaffected" true
+          (Pr_quadtree.size frozen = 5));
   ]
 
 (* Bintree *)
@@ -2005,10 +2037,10 @@ let () =
   Alcotest.run "popan_trees"
     [
       ("pr_quadtree", pr_tests);
-      ("pr_builder", pr_builder_tests);
       ("pr_arena", pr_arena_tests);
       ("pr_arena_churn", pr_arena_churn_tests);
       ("pr_arena_bulk", pr_arena_bulk_tests);
+      ("pr_builder", pr_builder_tests);
       ("bintree", bintree_tests);
       ("md_tree", md_tests);
       ("point_quadtree", point_quadtree_tests);
