@@ -20,7 +20,9 @@ test:
 # validate` accepts. The allocation gate re-runs the arena regression
 # explicitly: a no-split arena insert must allocate zero minor words,
 # and the wire codec must hash a frame without boxing, decode a framed
-# answer allocating only its points, and encode one in O(bytes / word).
+# answer allocating only its points, and encode one in O(bytes / word),
+# and a served range-heavy batch, streamed from warm answer sinks, must
+# allocate per query rather than per answer point.
 # The bulk smoke: a 2^22-point bulk build must complete on the
 # sort path with no fallback, and the arenas built at jobs 1 and 4 must
 # be byte-identical to the sequential one (compared on encoded frozen
@@ -93,6 +95,12 @@ check: build test
 	else \
 	  echo "alloc smoke FAILED: response encode boxes values or over-copies"; \
 	  dune exec --no-build test/test_alloc.exe -- test codec 2; exit 1; \
+	fi
+	@if dune exec --no-build test/test_alloc.exe -- test serve 1 >/dev/null 2>&1; then \
+	  echo "alloc smoke: a streamed 1024-query range batch allocates per query, not per answer point"; \
+	else \
+	  echo "alloc smoke FAILED: served answers are materialized on the way to the wire"; \
+	  dune exec --no-build test/test_alloc.exe -- test serve 1; exit 1; \
 	fi
 	@tmp=$$(mktemp -d); \
 	dune exec --no-build bin/popan.exe -- table4 -j 1 > $$tmp/seq.txt; \
@@ -192,8 +200,10 @@ bench:
 	dune exec bench/main.exe
 
 # Machine-readable perf trajectory: ns/run per micro-bench as flat JSON.
-# Override the output per PR: make bench-json BENCH_JSON=BENCH_PR2.json
-BENCH_JSON ?= BENCH_PR10.json
+# The default lands under _build/, never on a committed BENCH_PR*.json
+# (the pruning gate above reads BENCH_PR10.json). Name a file to keep:
+# make bench-json BENCH_JSON=BENCH_PR17.json
+BENCH_JSON ?= _build/bench.json
 bench-json:
 	dune exec bench/main.exe -- --json $(BENCH_JSON)
 

@@ -1445,7 +1445,7 @@ let render_telemetry socket (t : Popan_serve.Wire.telemetry) =
       (bytes /. 1048576.0)
   | _ -> ());
   let find name =
-    Option.map snd (Array.find_opt (fun (n, _) -> n = name) t.sketches)
+    Option.map snd (List.find_opt (fun (n, _) -> n = name) t.sketches)
   in
   let q s p = Option.value (Sketch.snapshot_quantile s p) ~default:0.0 in
   let any = ref false in
@@ -1473,12 +1473,12 @@ let render_telemetry socket (t : Popan_serve.Wire.telemetry) =
     let len = List.length l in
     List.filteri (fun i _ -> i >= len - n) l
   in
-  (match tail 5 (Array.to_list t.events) with
+  (match tail 5 t.events with
   | [] -> ()
   | evs ->
     print_string "  recent events:\n";
     List.iter (fun e -> Printf.printf "    %s\n" e) evs);
-  (match tail 5 (Array.to_list t.flight) with
+  (match tail 5 t.flight with
   | [] -> ()
   | fs ->
     print_string "  flight tail:\n";

@@ -190,30 +190,6 @@ module Pool = struct
   let iter ?chunk t n ~f = ignore (map_array ?chunk t n ~f)
 end
 
-(* The process-wide shared pool: sized by [default_jobs] at first use,
-   spawned lazily so purely sequential programs never pay for domains,
-   shut down at exit. Serves callers that submit many batches over a
-   process lifetime (the arena's bulk builds inside a sweep) without
-   respawning domains per batch. Owned by whichever domain first asks
-   for it — in practice the main domain; the one-batch-at-a-time
-   restriction of [Pool] applies as usual. *)
-let shared = Atomic.make None
-
-let rec shared_pool () =
-  match Atomic.get shared with
-  | Some p -> p
-  | None ->
-    let p = Pool.create () in
-    if Atomic.compare_and_set shared None (Some p) then begin
-      at_exit (fun () -> Pool.shutdown p);
-      p
-    end
-    else begin
-      (* Lost the race: someone else published first. *)
-      Pool.shutdown p;
-      shared_pool ()
-    end
-
 let map_array ?jobs ?chunk n ~f =
   (* A 1-job pool spawns no domains, so the ambient-default call is an
      inline ascending loop plus a couple of allocations. *)

@@ -76,15 +76,6 @@ module Pool : sig
   val iter : ?chunk:int -> t -> int -> f:(int -> unit) -> unit
 end
 
-(** [shared_pool ()] is the process-wide pool, created on first use
-    with {!default_jobs} workers (set [-j] / [POPAN_JOBS] {e before}
-    first use; later changes do not resize it) and shut down at exit.
-    For callers that submit many batches over the process lifetime —
-    e.g. one bulk tree build per sweep size — without respawning
-    domains per batch. The usual {!Pool} ownership rules apply: submit
-    from the domain that first obtained it, one batch at a time. *)
-val shared_pool : unit -> Pool.t
-
 (** [map_list ?jobs ?chunk n ~f] is {!Pool.map_list} on a throwaway pool
     of [?jobs] workers — the convenience entry point for a single
     fan-out. With [jobs = 1] (the ambient default) no domain is ever

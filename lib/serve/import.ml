@@ -5,6 +5,7 @@ module Box = Popan_geom.Box
 module Xoshiro = Popan_rng.Xoshiro
 module Pr_arena = Popan_trees.Pr_arena
 module Pr_quadtree = Popan_trees.Pr_quadtree
+module Sink = Popan_trees.Sink
 module Parallel = Popan_parallel
 module Codec = Popan_store.Codec
 module Store = Popan_store.Artifact_store

@@ -11,63 +11,97 @@ let kernel_of : Wire.query -> _ = function
   | Wire.Nearest _ -> `Nearest
   | Wire.Cell _ -> `Cell
 
-(* Evaluation of one query against one arena — the single dispatch the
-   pool's tasks run and the oracle the tests replay, so "batched equals
+(* Answer one query into chunk [c] — the single dispatch the pool's
+   tasks run and the oracle the tests replay, so "batched equals
    sequential" is equality of schedules, not of two implementations.
-   The kernels are the same with telemetry on or off; on, they report
-   their cost into the domain's scratch and the query is timed into the
-   latency/visited sketches and the flight recorder through
-   [serve_query_done], which takes only immediates — no closure, no
-   boxing, no allocation beyond the answer. *)
-let dispatch ~telemetry ~epoch arena (q : Wire.query) : Wire.answer =
-  let t0 = if telemetry then Clock.now_ns () else 0 in
-  let cost = if telemetry then Domain.DLS.get cost_scratch else None in
-  let note = ref "" in
-  let answer =
-    match q with
-    | Wire.Range b ->
-      Wire.Points (Array.of_list (Pr_arena.query_box ?cost arena b))
-    | Wire.Count b -> Wire.Count_of (Pr_arena.count_in_box ?cost arena b)
-    | Wire.Knn (k, p) -> (
-      match Pr_arena.k_nearest ?cost arena k p with
-      | ps -> Wire.Points (Array.of_list ps)
-      | exception Invalid_argument m ->
-        note := m;
-        Wire.Rejected m)
-    | Wire.Nearest p -> (
-      match Pr_arena.nearest ?cost arena p with
-      | None -> Wire.Points [||]
-      | Some q -> Wire.Points [| q |])
-    | Wire.Cell p -> (
-      match Pr_arena.cell_at ?cost arena p with
-      | depth, box, pts -> Wire.Cell_info (depth, box, Array.of_list pts)
-      | exception Invalid_argument m ->
-        note := m;
-        Wire.Rejected m)
-  in
-  let kernel = kernel_of q in
-  (match cost with
-  | None -> Probe.serve_query ~kernel
-  | Some c ->
-    Probe.serve_pruned_subtrees c.Pr_arena.pruned;
-    Probe.serve_query_done ~kernel ~epoch ~t0 ~visited:c.Pr_arena.visited
-      ~note:!note);
-  answer
+   The kernels write the answer's points straight into the chunk's body
+   sink; the answer's head (tag, count, cell, message) follows once the
+   kernel returns. The kernels are the same with telemetry on or off;
+   on, they report their cost into the domain's scratch and the query
+   is timed into the latency/visited sketches and the flight recorder
+   through [serve_query_done], which takes only immediates — no
+   closure, no boxing, no allocation per answer point. A batch past its
+   byte cap skips the query, counting it all the same, so the per-kernel
+   counters do not depend on which answers finished first; a walk that
+   would take it past the cap stops at the first point over
+   ([Sink.Full]). *)
+let dispatch ~telemetry ~epoch arena c (q : Wire.query) =
+  if Wire.open_answer c then begin
+    let t0 = if telemetry then Clock.now_ns () else 0 in
+    let cost = if telemetry then Domain.DLS.get cost_scratch else None in
+    let note = ref "" in
+    let s = Wire.body c in
+    (try
+       match q with
+       | Wire.Range b ->
+         Pr_arena.range_into ?cost arena b s;
+         Wire.close_points c
+       | Wire.Count b ->
+         Wire.close_count c (Pr_arena.count_in_box ?cost arena b)
+       | Wire.Knn (k, p) -> (
+         match Pr_arena.knn_into ?cost arena k p s with
+         | () -> Wire.close_points c
+         | exception Invalid_argument m ->
+           note := m;
+           Wire.close_rejected c m)
+       | Wire.Nearest p ->
+         Pr_arena.nearest_into ?cost arena p s;
+         Wire.close_points c
+       | Wire.Cell p -> (
+         match Pr_arena.cell_into ?cost arena p s with
+         | depth -> Wire.close_cell c depth (Pr_arena.cell_block p depth)
+         | exception Invalid_argument m ->
+           note := m;
+           Wire.close_rejected c m)
+     with Sink.Full -> Wire.close_full c);
+    let kernel = kernel_of q in
+    match cost with
+    | None -> Probe.serve_query ~kernel
+    | Some k ->
+      Probe.serve_pruned_subtrees k.Pr_arena.pruned;
+      Probe.serve_query_done ~kernel ~epoch ~t0 ~visited:k.Pr_arena.visited
+        ~note:!note
+  end
+  else Probe.serve_query ~kernel:(kernel_of q)
+
+(* Fan a batch out on the deterministic pool, in arrival order: chunk
+   [i] answers queries [i * chunk ..] into [Wire.chunk o i], and chunks
+   stream in index order, so the response is byte-identical at every
+   job count whichever domain answers which chunk; the chunk keeps
+   per-task overhead amortized over thousands of tiny queries.
+   Telemetry is one flag check per batch. *)
+let fill ?(chunk = 256) ?(epoch = 0) ~cap pool arena queries o =
+  if chunk < 1 then invalid_arg "Server.run_batch: chunk < 1";
+  let n = Array.length queries in
+  let chunks = (n + chunk - 1) / chunk in
+  let telemetry = Probe.serve_telemetry_on () in
+  Wire.start o ~chunks ~cap;
+  Probe.serve_batch ~queries:n ~jobs:(Parallel.Pool.jobs pool) (fun () ->
+      Parallel.Pool.iter pool chunks ~f:(fun i ->
+          let c = Wire.chunk o i in
+          for j = i * chunk to min n ((i + 1) * chunk) - 1 do
+            dispatch ~telemetry ~epoch arena c queries.(j)
+          done))
+
+(* One reusable answer buffer per domain for [eval]. *)
+let eval_out = Domain.DLS.new_key Wire.out
 
 let eval arena q =
-  dispatch ~telemetry:(Probe.serve_telemetry_on ()) ~epoch:0 arena q
+  let o = Domain.DLS.get eval_out in
+  Wire.start o ~chunks:1 ~cap:max_int;
+  dispatch ~telemetry:(Probe.serve_telemetry_on ()) ~epoch:0 arena
+    (Wire.chunk o 0) q;
+  (Wire.decode_answers o).(0)
 
-(* Fan a batch out on the deterministic pool, in arrival order.
-   [map_array]'s contract — results in index order, byte-identical at
-   every job count — is what makes the whole response deterministic;
-   the chunk keeps per-task overhead amortized over thousands of tiny
-   queries. Telemetry is one flag check per batch. *)
-let run_batch ?(chunk = 256) ?(epoch = 0) pool arena queries =
-  let n = Array.length queries in
-  let telemetry = Probe.serve_telemetry_on () in
-  Probe.serve_batch ~queries:n ~jobs:(Parallel.Pool.jobs pool) (fun () ->
-      Parallel.Pool.map_array ~chunk pool n ~f:(fun i ->
-          dispatch ~telemetry ~epoch arena queries.(i)))
+let run_batch ?chunk ?epoch pool arena queries =
+  let o = Wire.out () in
+  fill ?chunk ?epoch ~cap:max_int pool arena queries o;
+  Wire.decode_answers o
+
+let stream_batch ?chunk ?(epoch = 0) pool arena queries oc =
+  let o = Wire.out () in
+  fill ?chunk ~epoch ~cap:Wire.max_frame pool arena queries o;
+  Wire.write_answers oc ~epoch o
 
 type config = {
   jobs : int option;  (** pool width; [None] = the session default *)
@@ -105,6 +139,8 @@ type t = {
           only the writer touches it *)
   mutable batches : int;
   mutable epoch_batches : int;  (** batches answered from the current epoch *)
+  out : Wire.out;  (** the answer sinks, reused by every batch *)
+  mutable held : int;  (** bytes the sinks held after the last batch *)
 }
 
 let create ?pool config =
@@ -142,11 +178,15 @@ let create ?pool config =
     slice = [||];
     batches = 0;
     epoch_batches = 0;
+    out = Wire.out ();
+    held = 0;
   }
 
 let epochs t = t.epochs
 let pool t = t.pool
 let batches t = t.batches
+let held_bytes t = t.held
+let retained_bytes t = Wire.capacity t.out
 
 let apply arena = function
   | Workload.Churn.Insert p -> Pr_arena.insert arena p
@@ -175,7 +215,7 @@ let advance t spec state standby =
    Responses are therefore byte-identical at every job count. The
    writer domain is spawned per batch: a long-lived idle one would
    still have to join every stop-the-world minor collection. *)
-let run_queries t queries =
+let answer_batch t ~cap queries =
   let e = Epoch.pin t.epochs in
   let writer =
     Option.map
@@ -183,25 +223,28 @@ let run_queries t queries =
         Domain.spawn (fun () -> Epoch.write t.epochs (advance t spec state)))
       t.churn
   in
-  let answers =
-    Fun.protect
-      ~finally:(fun () ->
-        Option.iter Domain.join writer;
-        (* Publish after the writer lands: each batch serves epoch [n]
-           and leaves epoch [n+1] installed for the next one. *)
-        (match writer with
-        | Some _ ->
-          ignore (Epoch.publish t.epochs : Epoch.epoch);
-          t.epoch_batches <- 0
-        | None ->
-          t.epoch_batches <- t.epoch_batches + 1;
-          Probe.serve_epoch_batch ~age:t.epoch_batches);
-        Epoch.unpin t.epochs e)
-      (fun () ->
-        run_batch ~epoch:(Epoch.id e) t.pool (Epoch.arena e) queries)
-  in
+  Fun.protect
+    ~finally:(fun () ->
+      Option.iter Domain.join writer;
+      (* Publish after the writer lands: each batch serves epoch [n]
+         and leaves epoch [n+1] installed for the next one. *)
+      (match writer with
+      | Some _ ->
+        ignore (Epoch.publish t.epochs : Epoch.epoch);
+        t.epoch_batches <- 0
+      | None ->
+        t.epoch_batches <- t.epoch_batches + 1;
+        Probe.serve_epoch_batch ~age:t.epoch_batches);
+      Epoch.unpin t.epochs e)
+    (fun () ->
+      fill ~epoch:(Epoch.id e) ~cap t.pool (Epoch.arena e) queries t.out);
   t.batches <- t.batches + 1;
-  (Epoch.id e, answers)
+  t.held <- Wire.held t.out;
+  Epoch.id e
+
+let run_queries t queries =
+  let epoch = answer_batch t ~cap:max_int queries in
+  (epoch, Wire.decode_answers t.out)
 
 (* Deterministic mixed self-batches (the serve smoke's query mix,
    seeded from the config), so a freshly started server has telemetry
@@ -227,17 +270,15 @@ let warm t ~batches ~queries:qn =
           | 3 -> Wire.Nearest p
           | _ -> Wire.Cell p)
     in
-    ignore (run_queries t qs : int * Wire.answer array)
+    ignore (answer_batch t ~cap:max_int qs : int)
   done
 
 let current_size t = Pr_arena.size (Epoch.arena (Epoch.current t.epochs))
 
-let handle t (req : Wire.request) : Wire.response * bool =
-  match req with
-  | Wire.Batch queries ->
-    let epoch, answers = run_queries t queries in
-    (Wire.Answers { epoch; answers }, true)
-  | Wire.Stats ->
+type control = Stats | Telemetry | Quit
+
+let handle t = function
+  | Stats ->
     ( Wire.Stats_info
         {
           epoch = Epoch.current_id t.epochs;
@@ -246,7 +287,7 @@ let handle t (req : Wire.request) : Wire.response * bool =
           live_epochs = Epoch.live_count t.epochs;
         },
       true )
-  | Wire.Telemetry ->
+  | Telemetry ->
     ( Wire.Telemetry_info
         {
           epoch = Epoch.current_id t.epochs;
@@ -255,13 +296,12 @@ let handle t (req : Wire.request) : Wire.response * bool =
           live_epochs = Epoch.live_count t.epochs;
           metrics_json = Metrics.to_json ();
           prometheus = Metrics.to_prometheus ();
-          sketches =
-            Array.of_list (Metrics.sketch_snapshots ~prefix:"serve." ());
-          events = Array.of_list (Event.recent ());
-          flight = Array.of_list (Flight.recent ());
+          sketches = Metrics.sketch_snapshots ~prefix:"serve." ();
+          events = Event.recent ();
+          flight = Flight.recent ();
         },
       true )
-  | Wire.Quit -> (Wire.Bye, false)
+  | Quit -> (Wire.Bye, false)
 
 let shutdown t =
   Probe.serve_shutdown ~batches:t.batches ~epoch:(Epoch.current_id t.epochs);
@@ -290,11 +330,18 @@ let serve_channels t ic oc =
          guesswork. *)
       Probe.serve_malformed ~reason;
       Wire.write_response oc (Wire.Refused reason)
-    | Some (Ok req) ->
-      let resp, continue = handle t req in
-      quit := not continue;
-      Wire.write_response oc resp;
-      if continue then loop ()
+    | Some (Ok (Wire.Batch queries)) ->
+      let epoch = answer_batch t ~cap:Wire.max_frame queries in
+      Wire.write_answers oc ~epoch t.out;
+      loop ()
+    | Some (Ok Wire.Stats) -> reply Stats
+    | Some (Ok Wire.Telemetry) -> reply Telemetry
+    | Some (Ok Wire.Quit) -> reply Quit
+  and reply req =
+    let resp, continue = handle t req in
+    quit := not continue;
+    Wire.write_response oc resp;
+    if continue then loop ()
   in
   (* A client that hangs up before reading its reply makes the write
      fail with EPIPE (SIGPIPE is ignored by the serve command), and one

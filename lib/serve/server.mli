@@ -15,7 +15,8 @@ open Import
     a torn arena: the two slots share no mutable state. *)
 
 (** [eval arena q] answers one query sequentially — the dispatch the
-    pool's tasks run, and the oracle tests replay. With telemetry on
+    pool's tasks run, and the oracle tests replay — decoded from the
+    bytes the kernel wrote. With telemetry on
     ({!Probe.serve_telemetry_on}) the kernel also reports its
     visited-node and pruned-subtree counts and the query is recorded
     through {!Probe.serve_query_done} (latency/visited sketches and the
@@ -26,13 +27,27 @@ val eval : Pr_arena.t -> Wire.query -> Wire.answer
 (** [run_batch ?chunk ?epoch pool arena queries] answers a whole batch
     on the pool in arrival order, results in request order, wrapped in
     the [serve:batch] probe (queue-depth gauge, latency histogram,
-    per-kernel counters). Telemetry costs one
-    {!Probe.serve_telemetry_on} check per batch, which holds for every
-    query of it; recorded queries are tagged with [epoch] (default 0). *)
+    per-kernel counters). Each pool task answers [chunk] (default 256)
+    consecutive queries into its own answer sinks; the answers are
+    decoded from the same bytes {!stream_batch} writes. Telemetry costs
+    one {!Probe.serve_telemetry_on} check per batch, which holds for
+    every query of it; recorded queries are tagged with [epoch]
+    (default 0). Raises [Invalid_argument] when [chunk < 1]. *)
 val run_batch :
   ?chunk:int ->
   ?epoch:int ->
   Parallel.Pool.t -> Pr_arena.t -> Wire.query array -> Wire.answer array
+
+(** [stream_batch ?chunk ?epoch pool arena queries oc] answers the
+    batch as {!run_batch} does and writes it to [oc] as one framed
+    [Answers] response with epoch [epoch] ({!Wire.write_answers}),
+    never building an answer value: the socket path's producer, on
+    fresh sinks. Answers past {!Wire.max_frame} stop the batch, which
+    is then refused. *)
+val stream_batch :
+  ?chunk:int ->
+  ?epoch:int ->
+  Parallel.Pool.t -> Pr_arena.t -> Wire.query array -> out_channel -> unit
 
 type config = {
   jobs : int option;  (** pool width; [None] = the session default *)
@@ -69,6 +84,18 @@ val pool : t -> Parallel.Pool.t
 (** [batches t] counts batches answered so far. *)
 val batches : t -> int
 
+(** [held_bytes t] is the bytes the server's answer sinks held when its
+    last batch was answered: the batch's answer bytes, or, for a batch
+    stopped at the frame limit, what it produced before stopping. *)
+val held_bytes : t -> int
+
+(** [retained_bytes t] is the storage the server's answer sinks keep
+    between batches. It follows the recent batches' answers, not the
+    largest ever served: once a batch is written, a sink more than four
+    times larger than that batch needed (and over 64 KiB) gives its
+    storage back, as does every sink of a refused batch. *)
+val retained_bytes : t -> int
+
 (** [run_queries t queries] answers one batch as described above and
     returns the answering epoch's id with the answers. *)
 val run_queries : t -> Wire.query array -> int * Wire.answer array
@@ -80,22 +107,35 @@ val run_queries : t -> Wire.query array -> int * Wire.answer array
     before a client drives load ([popan serve --warm]). *)
 val warm : t -> batches:int -> queries:int -> unit
 
-(** [handle t req] dispatches one request; the boolean is false when
-    the loop should stop ([Quit]). *)
-val handle : t -> Wire.request -> Wire.response * bool
+(** The requests answered without the arena: [Wire.Stats],
+    [Wire.Telemetry] and [Wire.Quit]. A [Wire.Batch] has one producer,
+    the streamed one in {!serve_channels}. *)
+type control = Stats | Telemetry | Quit
+
+(** [handle t req] answers one control request; the boolean is false
+    when the loop should stop ([Quit]). *)
+val handle : t -> control -> Wire.response * bool
 
 (** [serve_channels t ic oc] reads framed requests from [ic] and writes
-    framed responses to [oc] until EOF, [Quit], or a malformed frame
-    (refused, then the loop stops — a broken frame leaves the stream
-    position undefined). An I/O error on either channel ([Sys_error],
-    e.g. a client that closed before reading its reply) ends the
-    conversation too, counted by [Probe.serve_disconnect]. Returns
-    [true] iff the client sent [Quit] — it asked the server itself to
-    stop, as opposed to merely hanging up — even when its [Bye] could
-    not be delivered. A process
-    serving a socket should ignore [SIGPIPE], as [popan serve] does, so
-    that a write to a departed client fails with [EPIPE] instead of
-    killing it. *)
+    framed responses to [oc] until EOF, [Quit], or a malformed frame. A
+    [Batch] is answered into the server's reused answer sinks and its
+    [Answers] frame streamed from them ({!Wire.write_answers}) — the
+    bytes [Wire.write_response] frames for the {!run_queries} answers,
+    with no answer value built. Once a batch's answers pass
+    {!Wire.max_frame} it stops early, in bounded memory, and is refused
+    ([Refused "response of more than M bytes exceeds frame limit"],
+    [M] = {!Wire.max_frame}, counted in [serve.oversize.responses]); the
+    refusal is the same at every job count. Every other request goes
+    through {!handle}. A malformed frame is refused,
+    then the loop stops — a broken frame leaves the stream position
+    undefined. An I/O error on either channel ([Sys_error], e.g. a
+    client that closed before reading its reply) ends the conversation
+    too, counted by [Probe.serve_disconnect]. Returns [true] iff the
+    client sent [Quit] — it asked the server itself to stop, as opposed
+    to merely hanging up — even when its [Bye] could not be delivered. A
+    process serving a socket should ignore [SIGPIPE], as [popan serve]
+    does, so that a write to a departed client fails with [EPIPE]
+    instead of killing it. *)
 val serve_channels : t -> in_channel -> out_channel -> bool
 
 (** [shutdown t] retires both epoch slots and releases their mmap

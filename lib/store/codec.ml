@@ -9,15 +9,20 @@ exception Malformed_input of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Malformed_input s)) fmt
 
+(* Every writer appends through {!Sink}, the one implementation of the
+   encodings: the arena's answer kernels write points into the same
+   kind of sink, in the same format, for the wire to stream. *)
 type 'a t = {
-  write : Buffer.t -> 'a -> unit;
+  write : Sink.t -> 'a -> unit;
   read : cursor -> 'a;
 }
 
+let write c sink v = c.write sink v
+
 let encode c v =
-  let buffer = Buffer.create 256 in
-  c.write buffer v;
-  Buffer.contents buffer
+  let sink = Sink.create () in
+  c.write sink v;
+  Bytes.sub_string sink.Sink.bytes 0 sink.Sink.len
 
 let decode c s =
   let cur = { data = s; pos = 0; limit = String.length s } in
@@ -40,15 +45,15 @@ let read_byte cur =
 let u8 =
   {
     write =
-      (fun buffer n ->
+      (fun sink n ->
         if n < 0 || n > 255 then invalid_arg "Codec.u8: out of range";
-        Buffer.add_char buffer (Char.chr n));
+        Sink.add_byte sink n);
     read = read_byte;
   }
 
 let bool =
   {
-    write = (fun buffer b -> Buffer.add_char buffer (if b then '\001' else '\000'));
+    write = (fun sink b -> Sink.add_byte sink (if b then 1 else 0));
     read =
       (fun cur ->
         match read_byte cur with
@@ -57,18 +62,10 @@ let bool =
         | b -> fail "bad boolean byte %d" b);
   }
 
-(* Unsigned LEB128 over the full 63-bit word (an int with the sign bit
-   set is written as the corresponding large unsigned value, which is
-   what zigzagged [min_int]-adjacent values produce). Both directions
-   are closure-free loops: a local recursive helper would capture the
-   buffer or cursor and allocate a closure per varint. *)
-let write_uvarint buffer n =
-  let n = ref n in
-  while !n lsr 7 <> 0 do
-    Buffer.add_char buffer (Char.unsafe_chr (0x80 lor (!n land 0x7f)));
-    n := !n lsr 7
-  done;
-  Buffer.add_char buffer (Char.unsafe_chr !n)
+(* Unsigned LEB128 over the full 63-bit word ({!Sink.add_uvarint}).
+   The reader is a closure-free loop: a local recursive helper would
+   capture the cursor and allocate a closure per varint. *)
+let write_count = Sink.add_uvarint
 
 let read_uvarint cur =
   let acc = ref 0 and shift = ref 0 and more = ref true in
@@ -83,7 +80,7 @@ let read_uvarint cur =
 (* Zigzag: small magnitudes of either sign stay small on disk. *)
 let int =
   {
-    write = (fun buffer n -> write_uvarint buffer ((n lsl 1) lxor (n asr 62)));
+    write = Sink.add_int;
     read =
       (fun cur ->
         let z = read_uvarint cur in
@@ -100,12 +97,9 @@ let int =
 let need cur n = if cur.limit - cur.pos < n then fail "unexpected end of input"
 let word cur off = String.get_int64_le cur.data (cur.pos + off)
 
-let[@inline] add_float buffer x =
-  Buffer.add_int64_le buffer (Int64.bits_of_float x)
-
 let int64 =
   {
-    write = Buffer.add_int64_le;
+    write = Sink.add_int64;
     read =
       (fun cur ->
         need cur 8;
@@ -116,7 +110,7 @@ let int64 =
 
 let float =
   {
-    write = add_float;
+    write = Sink.add_float;
     read =
       (fun cur ->
         need cur 8;
@@ -127,10 +121,7 @@ let float =
 
 let string =
   {
-    write =
-      (fun buffer s ->
-        write_uvarint buffer (String.length s);
-        Buffer.add_string buffer s);
+    write = Sink.add_string;
     read =
       (fun cur ->
         let n = read_uvarint cur in
@@ -146,9 +137,9 @@ let string =
 let pair a b =
   {
     write =
-      (fun buffer (x, y) ->
-        a.write buffer x;
-        b.write buffer y);
+      (fun sink (x, y) ->
+        a.write sink x;
+        b.write sink y);
     read =
       (fun cur ->
         let x = a.read cur in
@@ -159,10 +150,10 @@ let pair a b =
 let triple a b c =
   {
     write =
-      (fun buffer (x, y, z) ->
-        a.write buffer x;
-        b.write buffer y;
-        c.write buffer z);
+      (fun sink (x, y, z) ->
+        a.write sink x;
+        b.write sink y;
+        c.write sink z);
     read =
       (fun cur ->
         let x = a.read cur in
@@ -174,12 +165,12 @@ let triple a b c =
 let option c =
   {
     write =
-      (fun buffer v ->
+      (fun sink v ->
         match v with
-        | None -> Buffer.add_char buffer '\000'
+        | None -> Sink.add_byte sink 0
         | Some x ->
-          Buffer.add_char buffer '\001';
-          c.write buffer x);
+          Sink.add_byte sink 1;
+          c.write sink x);
     read =
       (fun cur ->
         match read_byte cur with
@@ -191,9 +182,9 @@ let option c =
 let list c =
   {
     write =
-      (fun buffer vs ->
-        write_uvarint buffer (List.length vs);
-        List.iter (c.write buffer) vs);
+      (fun sink vs ->
+        write_count sink (List.length vs);
+        List.iter (c.write sink) vs);
     read =
       (fun cur ->
         let n = read_uvarint cur in
@@ -205,9 +196,9 @@ let list c =
 let array c =
   {
     write =
-      (fun buffer vs ->
-        write_uvarint buffer (Array.length vs);
-        Array.iter (c.write buffer) vs);
+      (fun sink vs ->
+        write_count sink (Array.length vs);
+        Array.iter (c.write sink) vs);
     read =
       (fun cur ->
         let n = read_uvarint cur in
@@ -219,7 +210,7 @@ let array c =
 let int_array = array int
 
 let map c ~decode:f ~encode:g =
-  { write = (fun buffer v -> c.write buffer (g v)); read = (fun cur -> f (c.read cur)) }
+  { write = (fun sink v -> c.write sink (g v)); read = (fun cur -> f (c.read cur)) }
 
 (* A tagged union: one byte of case tag, then the selected case's
    payload. [map] cannot express sum types (it needs a total inverse);
@@ -237,13 +228,13 @@ let choice ~tag cases =
     cases;
   {
     write =
-      (fun buffer v ->
+      (fun sink v ->
         let t = tag v in
         match if t >= 0 && t <= 255 then table.(t) else None with
         | None -> invalid_arg (Printf.sprintf "Codec.choice: unknown tag %d" t)
         | Some c ->
-          Buffer.add_char buffer (Char.chr t);
-          c.write buffer v);
+          Sink.add_byte sink t;
+          c.write sink v);
     read =
       (fun cur ->
         let t = read_byte cur in
@@ -260,10 +251,7 @@ let choice ~tag cases =
    no defined answer. *)
 let point =
   {
-    write =
-      (fun buffer (p : Point.t) ->
-        add_float buffer p.Point.x;
-        add_float buffer p.Point.y);
+    write = Sink.add_point;
     read =
       (fun cur ->
         need cur 16;
@@ -277,12 +265,7 @@ let point =
 
 let box =
   {
-    write =
-      (fun buffer (b : Box.t) ->
-        add_float buffer b.Box.xmin;
-        add_float buffer b.Box.ymin;
-        add_float buffer b.Box.xmax;
-        add_float buffer b.Box.ymax);
+    write = Sink.add_box;
     read =
       (fun cur ->
         need cur 32;
@@ -299,8 +282,7 @@ let box =
 let xoshiro =
   {
     write =
-      (fun buffer rng ->
-        Array.iter (int64.write buffer) (Xoshiro.to_words rng));
+      (fun sink rng -> Array.iter (int64.write sink) (Xoshiro.to_words rng));
     read =
       (fun cur ->
         let words = Array.init 4 (fun _ -> int64.read cur) in
@@ -311,14 +293,14 @@ let xoshiro =
 
 let pr_quadtree =
   let points = list point in
-  let rec write_node buffer node =
+  let rec write_node sink node =
     match node with
     | Pr_quadtree.Raw.Leaf pts ->
-      Buffer.add_char buffer '\000';
-      points.write buffer pts
+      Sink.add_byte sink 0;
+      points.write sink pts
     | Pr_quadtree.Raw.Node children ->
-      Buffer.add_char buffer '\001';
-      Array.iter (write_node buffer) children
+      Sink.add_byte sink 1;
+      Array.iter (write_node sink) children
   in
   let rec read_node cur =
     match read_byte cur with
@@ -328,12 +310,12 @@ let pr_quadtree =
   in
   {
     write =
-      (fun buffer tree ->
-        int.write buffer (Pr_quadtree.capacity tree);
-        int.write buffer (Pr_quadtree.max_depth tree);
-        box.write buffer (Pr_quadtree.bounds tree);
-        int.write buffer (Pr_quadtree.size tree);
-        write_node buffer (Pr_quadtree.Raw.root tree));
+      (fun sink tree ->
+        int.write sink (Pr_quadtree.capacity tree);
+        int.write sink (Pr_quadtree.max_depth tree);
+        box.write sink (Pr_quadtree.bounds tree);
+        int.write sink (Pr_quadtree.size tree);
+        write_node sink (Pr_quadtree.Raw.root tree));
     read =
       (fun cur ->
         let capacity = int.read cur in
@@ -351,18 +333,34 @@ let pr_quadtree =
 let magic = "PSTO"
 let container_version = 1
 
-(* FNV-1a 64 over [len] bytes of [b] from [off]: a plain loop with no
-   closure, so the accumulator stays an unboxed register and a frame of
-   any size is hashed with a constant handful of words. *)
-let fnv1a64_sub b off len =
-  let h = ref 0xcbf29ce484222325L in
+(* FNV-1a 64, incrementally. The state is the running hash as 8
+   little-endian bytes — exactly the checksum field that ends a frame —
+   and [fnv_feed] is a plain loop with no closure, so the accumulator
+   stays an unboxed register and a frame of any size, fed in any number
+   of parts, is hashed without allocating. *)
+type fnv = Bytes.t
+
+let fnv_start () =
+  let h = Bytes.create 8 in
+  Bytes.set_int64_le h 0 0xcbf29ce484222325L;
+  h
+
+let fnv_feed h b off len =
+  let acc = ref (Bytes.get_int64_le h 0) in
   for i = off to off + len - 1 do
-    h :=
+    acc :=
       Int64.mul
-        (Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get b i))))
+        (Int64.logxor !acc (Int64.of_int (Char.code (Bytes.unsafe_get b i))))
         0x100000001b3L
   done;
-  !h
+  Bytes.set_int64_le h 0 !acc
+
+let fnv_checksum h = h
+
+let fnv1a64_sub b off len =
+  let h = fnv_start () in
+  fnv_feed h b off len;
+  Bytes.get_int64_le h 0
 
 let fnv1a64 s = fnv1a64_sub (Bytes.unsafe_of_string s) 0 (String.length s)
 
@@ -393,25 +391,32 @@ let error_to_string = function
   | Trailing_garbage -> "trailing bytes after checksum"
   | Malformed msg -> "malformed payload: " ^ msg
 
+(* Everything a frame holds before its payload, for a payload of [len]
+   bytes. *)
+let frame_header ~kind ~version ~key len =
+  let header = Sink.create () in
+  String.iter (fun c -> Sink.add_byte header (Char.code c)) magic;
+  write_count header container_version;
+  string.write header kind;
+  write_count header version;
+  string.write header key;
+  write_count header len;
+  Bytes.sub_string header.Sink.bytes 0 header.Sink.len
+
 (* The payload is encoded once; the header, which ends with the payload
    length, is built after it. The frame is then allocated at its exact
    size and the payload copied into it once, and the checksum is
    computed over the frame in place. *)
 let to_artifact ~kind ~version ~key codec v =
-  let payload = Buffer.create 1024 in
+  let payload = Sink.create () in
   codec.write payload v;
-  let len = Buffer.length payload in
-  let header = Buffer.create 64 in
-  Buffer.add_string header magic;
-  write_uvarint header container_version;
-  string.write header kind;
-  write_uvarint header version;
-  string.write header key;
-  write_uvarint header len;
-  let body = Buffer.length header + len in
+  let len = payload.Sink.len in
+  let header = frame_header ~kind ~version ~key len in
+  let hlen = String.length header in
+  let body = hlen + len in
   let frame = Bytes.create (body + 8) in
-  Buffer.blit header 0 frame 0 (Buffer.length header);
-  Buffer.blit payload 0 frame (Buffer.length header) len;
+  Bytes.blit_string header 0 frame 0 hlen;
+  Bytes.blit payload.Sink.bytes 0 frame hlen len;
   Bytes.set_int64_le frame body (fnv1a64_sub frame 0 body);
   Bytes.unsafe_to_string frame
 

@@ -2,8 +2,9 @@ open Import
 
 (** Compact versioned binary codecs for the artifact store.
 
-    A ['a t] pairs a writer (into a [Buffer.t]) with a reader (from a
-    bounds-checked cursor). Codecs compose with the usual combinators;
+    A ['a t] pairs a writer (appending to a {!Sink.t}, whose appends
+    are the one implementation of every encoding below) with a reader
+    (from a bounds-checked cursor). Codecs compose with the usual combinators;
     every primitive reader validates its input and raises a descriptive
     internal exception that the framing layer converts into a typed
     {!error}, so a truncated or corrupted byte stream is always detected
@@ -39,6 +40,11 @@ type 'a t
 
 (** [encode codec v] is the raw payload bytes of [v] (no frame). *)
 val encode : 'a t -> 'a -> string
+
+(** [write codec sink v] appends the payload bytes of [v] to [sink]:
+    for a writer that assembles a payload from parts, such as a framed
+    response streamed from several sinks. *)
+val write : 'a t -> Sink.t -> 'a -> unit
 
 (** [decode codec s] reads [v] back from raw payload bytes, requiring the
     codec to consume exactly the whole string.
@@ -78,6 +84,11 @@ val list : 'a t -> 'a list t
 
 (** [array c] — array variant of {!list}. *)
 val array : 'a t -> 'a array t
+
+(** [write_count sink n] appends the count that starts a {!list} or
+    {!array} of [n] elements: for a writer that appends the elements
+    itself. *)
+val write_count : Sink.t -> int -> unit
 
 (** [int_array] is [array int] (the occupancy-histogram codec). *)
 val int_array : int array t
@@ -151,6 +162,33 @@ val of_artifact :
     the embedded [(kind, version, key)]. This is what [cache verify]
     runs over every entry. *)
 val probe : string -> (string * int * string, error) result
+
+(** {2 Streamed frames}
+
+    A writer that produces a payload in parts frames it without ever
+    holding the whole frame: it writes {!frame_header} for the payload's
+    length, then each part, feeding the header and every part to an
+    {!fnv} as it goes, then the 8 checksum bytes. The bytes are those
+    {!to_artifact} produces for the same payload. *)
+
+(** [frame_header ~kind ~version ~key len] is the start of a frame
+    whose payload is [len] bytes: everything before the payload. *)
+val frame_header : kind:string -> version:int -> key:string -> int -> string
+
+(** A running FNV-1a 64 hash. *)
+type fnv
+
+(** [fnv_start ()] is the hash of nothing. *)
+val fnv_start : unit -> fnv
+
+(** [fnv_feed h b off len] hashes [len] bytes of [b] from [off] into
+    [h]. Allocates nothing. *)
+val fnv_feed : fnv -> Bytes.t -> int -> int -> unit
+
+(** [fnv_checksum h] is the hash so far as 8 little-endian bytes: the
+    checksum field a frame ends with. It is [h]'s own state, changed by
+    later feeds. *)
+val fnv_checksum : fnv -> Bytes.t
 
 (** [fnv1a64 s] is the 64-bit FNV-1a hash of [s] — the store's
     content-address hash, exposed for key hashing and tests. *)

@@ -4,3 +4,4 @@ module Point = Popan_geom.Point
 module Box = Popan_geom.Box
 module Xoshiro = Popan_rng.Xoshiro
 module Pr_quadtree = Popan_trees.Pr_quadtree
+module Sink = Popan_trees.Sink

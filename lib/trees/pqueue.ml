@@ -1,10 +1,14 @@
+(* Values live in a plain array, filled on first insert from that first
+   value, so an insert writes two slots and allocates nothing (an
+   ['a option] slot would cost a [Some] block per insert). A vacated
+   slot keeps its stale value until it is overwritten. *)
 type 'a t = {
   mutable keys : float array;
-  mutable values : 'a option array;  (* None marks unused slots *)
+  mutable values : 'a array;
   mutable size : int;
 }
 
-let create () = { keys = Array.make 16 0.0; values = Array.make 16 None; size = 0 }
+let create () = { keys = Array.make 16 0.0; values = [||]; size = 0 }
 
 let size q = q.size
 let is_empty q = q.size = 0
@@ -12,7 +16,7 @@ let is_empty q = q.size = 0
 let grow q =
   let capacity = 2 * Array.length q.keys in
   let keys = Array.make capacity 0.0 in
-  let values = Array.make capacity None in
+  let values = Array.make capacity q.values.(0) in
   Array.blit q.keys 0 keys 0 q.size;
   Array.blit q.values 0 values 0 q.size;
   q.keys <- keys;
@@ -49,29 +53,30 @@ let rec sift_down q i =
 
 let insert q priority value =
   if Float.is_nan priority then invalid_arg "Pqueue.insert: NaN priority";
-  if q.size = Array.length q.keys then grow q;
+  if q.size = 0 && Array.length q.values = 0 then
+    q.values <- Array.make (Array.length q.keys) value
+  else if q.size = Array.length q.keys then grow q;
   q.keys.(q.size) <- priority;
-  q.values.(q.size) <- Some value;
+  q.values.(q.size) <- value;
   q.size <- q.size + 1;
   sift_up q (q.size - 1)
 
-let peek_min q =
-  if q.size = 0 then None
-  else
-    match q.values.(0) with
-    | Some v -> Some (q.keys.(0), v)
-    | None -> assert false  (* slots below [size] are always occupied *)
+let peek_min q = if q.size = 0 then None else Some (q.keys.(0), q.values.(0))
+
+(* Drop the root without building the entry: move the last element up
+   and sift it down. *)
+let remove_min q =
+  q.size <- q.size - 1;
+  q.keys.(0) <- q.keys.(q.size);
+  q.values.(0) <- q.values.(q.size);
+  if q.size > 0 then sift_down q 0
 
 let pop_min q =
   match peek_min q with
   | None -> None
-  | Some entry ->
-    q.size <- q.size - 1;
-    q.keys.(0) <- q.keys.(q.size);
-    q.values.(0) <- q.values.(q.size);
-    q.values.(q.size) <- None;
-    if q.size > 0 then sift_down q 0;
-    Some entry
+  | Some _ as entry ->
+    remove_min q;
+    entry
 
 let drain q =
   let rec go acc =
@@ -96,18 +101,24 @@ module Neighbors = struct
   let worst n =
     if n.k = 0 then 0.0
     else if size n < n.k then Float.infinity
-    else
-      match peek_min n.heap with
-      | Some (neg_d, _) -> -.neg_d
-      | None -> Float.infinity
+    else -.n.heap.keys.(0)
 
   let offer n ~dist v =
     if dist < worst n then begin
       insert n.heap (-.dist) v;
-      if size n > n.k then ignore (pop_min n.heap)
+      if size n > n.k then remove_min n.heap
     end
 
+  (* The negated-distance heap pops farthest-first. *)
+  let drain_farthest n ~f =
+    while n.heap.size > 0 do
+      let v = n.heap.values.(0) in
+      remove_min n.heap;
+      f v
+    done
+
   let drain_nearest n =
-    (* The negated-distance heap drains farthest-first. *)
-    List.rev_map snd (drain n.heap)
+    let acc = ref [] in
+    drain_farthest n ~f:(fun v -> acc := v :: !acc);
+    !acc
 end

@@ -55,6 +55,12 @@ module Neighbors : sig
       underlying heap's [insert]. *)
   val offer : 'a t -> dist:float -> 'a -> unit
 
-  (** [drain_nearest n] empties the collector, nearest-first. *)
+  (** [drain_farthest n ~f] empties the collector, calling [f] on each
+      candidate farthest-first — the heap's own pop order, with no list
+      built. *)
+  val drain_farthest : 'a t -> f:('a -> unit) -> unit
+
+  (** [drain_nearest n] empties the collector, nearest-first: the
+      reverse of {!drain_farthest}'s order. *)
   val drain_nearest : 'a t -> 'a list
 end

@@ -1136,7 +1136,7 @@ let points t =
    Containment pruning. Every node carries its exact subtree population
    ([t.count]), so when the target box contains a node's whole cell the
    range and count walks answer for the subtree without testing a single
-   point: [count_in_box] adds the stored count in O(1) and [query_box]
+   point: [count_in_box] adds the stored count in O(1) and [range_into]
    drains the subtree's leaf chains with no per-point box test. Cost
    then tracks the visited-node frontier — the Curien–Joseph
    partial-match regime — instead of the answer's population. Cells are
@@ -1149,11 +1149,16 @@ let points t =
    test and nothing below (the containment drain walks chains, but chain
    work is answer emission, not traversal cost), so the counts line up
    with the partial-match exponent the population analysis predicts.
-   The count and nearest walks carry the tally in their int return
-   value — register adds on the way back up, no heap cell touched per
-   node; the range walk, whose value is its answer list, adds into the
-   scratch instead. The caller receives it through an optional
-   caller-owned [cost] scratch, which also tallies containment prunes. *)
+   Every walk carries the tally in its int return value — register
+   adds on the way back up, no heap cell touched per node. The caller
+   receives it through an optional caller-owned [cost] scratch, which
+   also tallies containment prunes.
+
+   Answers. The range, k-NN, nearest and cell kernels ([*_into]) write
+   their answer points into a caller-owned {!Sink} in wire format, so
+   serving a query conses nothing per answer point. The list-returning
+   [query_box], [k_nearest], [nearest] and [cell_at] are decoders over
+   the same kernels. *)
 
 type cost = { mutable visited : int; mutable pruned : int }
 
@@ -1191,36 +1196,41 @@ let rec count_chain t (target : Box.t) slot acc =
     count_chain t target t.next.{slot} acc
   end
 
-let rec filter_chain t (target : Box.t) slot acc =
-  if slot < 0 then acc
-  else begin
+(* Answer emission. A kernel appends each answer point to the caller's
+   {!Sink} in the wire's own format straight from the coordinate
+   columns ({!Sink.add_slot}): no point record, no cons cell, and no
+   float crosses a call boxed. Growing the sink, or refusing a point
+   past its limit ({!Sink.Full}), is the sink's slow path. *)
+let[@inline] put_slot t s slot = Sink.add_slot s t.xs t.ys slot
+
+let rec filter_chain t (target : Box.t) s slot =
+  if slot >= 0 then begin
     let x = t.xs.{slot} and y = t.ys.{slot} in
-    let acc =
-      if
-        x >= target.Box.xmin && x < target.Box.xmax && y >= target.Box.ymin
-        && y < target.Box.ymax
-      then Point.make x y :: acc
-      else acc
-    in
-    filter_chain t target t.next.{slot} acc
+    if
+      x >= target.Box.xmin && x < target.Box.xmax && y >= target.Box.ymin
+      && y < target.Box.ymax
+    then put_slot t s slot;
+    filter_chain t target s t.next.{slot}
   end
 
-(* Cons a chain (head to tail) and a whole subtree (children in
-   quadrant order NW, NE, SW, SE — pair ids 2, 3, 0, 1) onto [acc]:
-   exactly the accumulation order of an unpruned walk when every point
-   passes, so pruning never reorders a result list. *)
-let rec drain_chain t slot acc =
-  if slot < 0 then acc
-  else drain_chain t t.next.{slot} (Point.make t.xs.{slot} t.ys.{slot} :: acc)
+(* Emit a chain (head to tail) and a whole subtree (children in
+   quadrant order NW, NE, SW, SE — pair ids 2, 3, 0, 1): exactly the
+   visit order of an unpruned walk when every point passes, so pruning
+   never reorders an answer. *)
+let rec drain_chain t s slot =
+  if slot >= 0 then begin
+    put_slot t s slot;
+    drain_chain t s t.next.{slot}
+  end
 
-let rec drain_subtree t node acc =
+let rec drain_subtree t s node =
   let base = t.child.(node) in
-  if base < 0 then drain_chain t t.head.(node) acc
+  if base < 0 then drain_chain t s t.head.(node)
   else begin
-    let acc = drain_subtree t (base + 2) acc in
-    let acc = drain_subtree t (base + 3) acc in
-    let acc = drain_subtree t (base + 0) acc in
-    drain_subtree t (base + 1) acc
+    drain_subtree t s (base + 2);
+    drain_subtree t s (base + 3);
+    drain_subtree t s (base + 0);
+    drain_subtree t s (base + 1)
   end
 
 (* The count walk returns both of its tallies in one int, so neither
@@ -1270,16 +1280,13 @@ let count_in_box ?cost t target =
   note_visited cost (packed land visit_mask);
   packed lsr visit_bits
 
-(* The range walk: the same traversal, threading the answer list, which
-   is consed in the quadrant order of {!Pr_quadtree.query_box}'s
-   unpruned walk — the result is element for element the one that walk
-   returns on the frozen tree. The list must be the recursion's value:
-   kept in a ref cell instead, a large answer ran ~40% slower. So the
-   visit tally goes to the caller's scratch, one increment per node,
-   and only when one is given; against the points it conses that is
-   noise. *)
-let rec range_walk t (target : Box.t) cost node qx0 qy0 shift acc =
-  (match cost with Some c -> c.visited <- c.visited + 1 | None -> ());
+(* The range walk: the same traversal, emitting the points it finds
+   into the sink in quadrant order, and returning its visit tally as the
+   count walk does. {!Pr_quadtree.query_box}'s unpruned walk conses the
+   same points in the same order, so its list is this walk's emission
+   order reversed; [range_into] reverses the answer's points in place
+   once the walk is done, and the bytes read in that list's order. *)
+let rec range_walk t (target : Box.t) cost s node qx0 qy0 shift =
   let side = 1 lsl shift in
   let x0 = float_of_int qx0 *. inv_fine_scale
   and y0 = float_of_int qy0 *. inv_fine_scale
@@ -1288,32 +1295,63 @@ let rec range_walk t (target : Box.t) cost node qx0 qy0 shift acc =
   if
     x0 >= target.Box.xmax || target.Box.xmin >= x1 || y0 >= target.Box.ymax
     || target.Box.ymin >= y1
-  then acc
+  then 1
   else if
     target.Box.xmin <= x0 && x1 <= target.Box.xmax && target.Box.ymin <= y0
     && y1 <= target.Box.ymax
   then begin
     note_pruned cost;
-    drain_subtree t node acc
+    drain_subtree t s node;
+    1
   end
   else begin
     let base = t.child.(node) in
-    if base < 0 then filter_chain t target t.head.(node) acc
+    if base < 0 then begin
+      filter_chain t target s t.head.(node);
+      1
+    end
     else begin
       let h = shift - 1 in
       let hs = 1 lsl h in
-      let acc = range_walk t target cost (base + 2) qx0 (qy0 + hs) h acc in
-      let acc =
-        range_walk t target cost (base + 3) (qx0 + hs) (qy0 + hs) h acc
+      let v = range_walk t target cost s (base + 2) qx0 (qy0 + hs) h in
+      let v =
+        v + range_walk t target cost s (base + 3) (qx0 + hs) (qy0 + hs) h
       in
-      let acc = range_walk t target cost (base + 0) qx0 qy0 h acc in
-      range_walk t target cost (base + 1) (qx0 + hs) qy0 h acc
+      let v = v + range_walk t target cost s (base + 0) qx0 qy0 h in
+      1 + v + range_walk t target cost s (base + 1) (qx0 + hs) qy0 h
     end
   end
 
-let query_box ?cost t target =
+let range_into ?cost t target s =
   start_cost cost;
-  range_walk t target cost 0 0 0 bits_fine []
+  let from = s.Sink.len in
+  note_visited cost (range_walk t target cost s 0 0 0 bits_fine);
+  Sink.reverse_points s ~from
+
+(* The list-returning forms decode what the kernels emit, through one
+   scratch sink per domain: a point record and a cons cell per answer
+   point, built back to front so the list reads in emission order. *)
+let scratch = Domain.DLS.new_key Sink.create
+
+let scratch_sink () =
+  let s = Domain.DLS.get scratch in
+  Sink.clear s;
+  s
+
+(* Then give back what a large answer grew the scratch to. *)
+let points_of_sink (s : Sink.t) =
+  let acc = ref [] and off = ref (s.Sink.len - Sink.point_bytes) in
+  while !off >= 0 do
+    acc := Sink.point_at s !off :: !acc;
+    off := !off - Sink.point_bytes
+  done;
+  Sink.trim s;
+  !acc
+
+let query_box ?cost t target =
+  let s = scratch_sink () in
+  range_into ?cost t target s;
+  points_of_sink s
 
 (* The best-first descent shared by [nearest] and [k_nearest]. [q] is
    the query's flat float scratch [| px; py; r2; ... |] — reads from it
@@ -1411,61 +1449,80 @@ let rec near_walk t (q : float array) scan node qx0 qy0 shift =
   end
   else 1
 
-let nearest ?cost t (p : Point.t) =
+let nearest_into ?cost t (p : Point.t) (s : Sink.t) =
   start_cost cost;
-  if t.size = 0 then None
-  else begin
-    (* [| px; py; best distance²; best x; best y |]: a flat float array
-       takes unboxed writes, where a [float ref] boxes a fresh float on
-       every [:=]. *)
-    let q = [| p.Point.x; p.Point.y; Float.infinity; 0.0; 0.0 |] in
+  if t.size > 0 then begin
+    (* [| px; py; best distance² |]: a flat float array takes unboxed
+       writes, where a [float ref] boxes a fresh float on every [:=]. *)
+    let q = [| p.Point.x; p.Point.y; Float.infinity |] in
+    let best = ref (-1) in
     let scan node =
       let px = q.(0) and py = q.(1) in
       let slot = ref t.head.(node) in
       while !slot >= 0 do
-        let s = !slot in
-        let x = t.xs.{s} and y = t.ys.{s} in
+        let sl = !slot in
+        let x = t.xs.{sl} and y = t.ys.{sl} in
         let dx = x -. px and dy = y -. py in
         let d = (dx *. dx) +. (dy *. dy) in
         if d < q.(2) then begin
           q.(2) <- d;
-          q.(3) <- x;
-          q.(4) <- y
+          best := sl
         end;
-        slot := t.next.{s}
+        slot := t.next.{sl}
       done
     in
     note_visited cost (near_walk t q scan 0 0 0 bits_fine);
-    if q.(2) < Float.infinity then Some (Point.make q.(3) q.(4)) else None
+    if !best >= 0 then put_slot t s !best
   end
 
-let k_nearest ?cost t k (p : Point.t) =
+let nearest ?cost t p =
+  let s = scratch_sink () in
+  nearest_into ?cost t p s;
+  match points_of_sink s with [ q ] -> Some q | _ -> None
+
+(* The k best are written nearest first: the collector pops them
+   farthest first, so each lands one point before the previous one in
+   room reserved for all of them up front. *)
+let knn_into ?cost t k (p : Point.t) (s : Sink.t) =
   start_cost cost;
   if k < 0 then invalid_arg "Pr_arena.k_nearest: k < 0";
-  if k = 0 || t.size = 0 then []
-  else begin
-    (* The same shared bounded collector as [Pr_quadtree.k_nearest]; its
-       worst distance is the pruning radius, mirrored into [q.(2)] after
-       every leaf. *)
+  if k > 0 && t.size > 0 then begin
+    (* The same shared bounded collector as [Pr_quadtree.k_nearest],
+       holding slots; its worst distance is the pruning radius, mirrored
+       into [q.(2)] after every offer, so a scanned point is tested
+       against the flat array and the collector's float bound is read
+       back only when an offer changes it. *)
     let nbrs = Pqueue.Neighbors.create k in
     let q = [| p.Point.x; p.Point.y; Pqueue.Neighbors.worst nbrs |] in
     let scan node =
       let px = q.(0) and py = q.(1) in
       let slot = ref t.head.(node) in
       while !slot >= 0 do
-        let s = !slot in
-        let x = t.xs.{s} and y = t.ys.{s} in
+        let sl = !slot in
+        let x = t.xs.{sl} and y = t.ys.{sl} in
         let dx = x -. px and dy = y -. py in
         let d = (dx *. dx) +. (dy *. dy) in
-        if d < Pqueue.Neighbors.worst nbrs then
-          Pqueue.Neighbors.offer nbrs ~dist:d (Point.make x y);
-        slot := t.next.{s}
-      done;
-      q.(2) <- Pqueue.Neighbors.worst nbrs
+        if d < q.(2) then begin
+          Pqueue.Neighbors.offer nbrs ~dist:d sl;
+          q.(2) <- Pqueue.Neighbors.worst nbrs
+        end;
+        slot := t.next.{sl}
+      done
     in
     note_visited cost (near_walk t q scan 0 0 0 bits_fine);
-    Pqueue.Neighbors.drain_nearest nbrs
+    let bytes = Sink.point_bytes * Pqueue.Neighbors.size nbrs in
+    Sink.reserve s bytes;
+    let off = ref (s.Sink.len + bytes) in
+    Pqueue.Neighbors.drain_farthest nbrs ~f:(fun sl ->
+        off := !off - Sink.point_bytes;
+        Sink.set_slot s !off t.xs t.ys sl);
+    s.Sink.len <- s.Sink.len + bytes
   end
+
+let k_nearest ?cost t k p =
+  let s = scratch_sink () in
+  knn_into ?cost t k p s;
+  points_of_sink s
 
 (* The readers' point descent: [locate]'s walk without the path. It
    writes nothing — no [t.path], no other scratch — so any number of
@@ -1478,11 +1535,9 @@ let rec leaf_of t node depth code qx qy =
   else leaf_of t (base + child_pair code qx qy depth) (depth + 1) code qx qy
 
 (* A point descent enters one node per level: the root-to-leaf path of
-   [depth] internal steps visits [depth + 1] nodes. The leaf's block is
-   its exact dyadic cell — the fine ordinates truncated to their top
-   [depth] bits, side 2^-depth — which is bit for bit the box the
-   [Box.child] midpoint cascade reaches. *)
-let cell_at ?cost t (p : Point.t) =
+   [depth] internal steps visits [depth + 1] nodes. The leaf's points
+   are emitted in chain order. *)
+let cell_into ?cost t (p : Point.t) s =
   start_cost cost;
   if not (Point.in_unit_square p) then
     invalid_arg "Pr_arena.cell_at: point outside bounds";
@@ -1490,18 +1545,28 @@ let cell_at ?cost t (p : Point.t) =
   let leaf = leaf_of t 0 0 (hi_code qx qy) qx qy in
   let depth = leaf land 63 in
   note_visited cost (depth + 1);
+  drain_chain t s t.head.(leaf lsr 6);
+  depth
+
+(* The leaf's block is its exact dyadic cell — the fine ordinates
+   truncated to their top [depth] bits, side 2^-depth — which is bit for
+   bit the box the [Box.child] midpoint cascade reaches. *)
+let cell_block (p : Point.t) depth =
+  let qx = fine_px p and qy = fine_py p in
   let sh = bits_fine - depth in
   let x0 = (qx lsr sh) lsl sh and y0 = (qy lsr sh) lsl sh in
   let side = 1 lsl sh in
-  let box =
-    {
-      Box.xmin = float_of_int x0 *. inv_fine_scale;
-      ymin = float_of_int y0 *. inv_fine_scale;
-      xmax = float_of_int (x0 + side) *. inv_fine_scale;
-      ymax = float_of_int (y0 + side) *. inv_fine_scale;
-    }
-  in
-  (depth, box, leaf_points t (leaf lsr 6))
+  {
+    Box.xmin = float_of_int x0 *. inv_fine_scale;
+    ymin = float_of_int y0 *. inv_fine_scale;
+    xmax = float_of_int (x0 + side) *. inv_fine_scale;
+    ymax = float_of_int (y0 + side) *. inv_fine_scale;
+  }
+
+let cell_at ?cost t p =
+  let s = scratch_sink () in
+  let depth = cell_into ?cost t p s in
+  (depth, cell_block p depth, points_of_sink s)
 
 (* --- Snapshots -------------------------------------------------------
 

@@ -245,7 +245,7 @@ val points : t -> Point.t list
     {b Containment pruning.} Every node carries its exact subtree
     population, so a node whose cell the target box fully contains is
     answered wholesale — {!count_in_box} adds the stored count in O(1),
-    {!query_box} drains the subtree's chains with no per-point test.
+    {!range_into} drains the subtree's chains with no per-point test.
     Cost tracks the visited-node frontier (the Curien–Joseph
     partial-match regime), not the answer's population. Soundness rests
     on cells being half-open on their high edges, exactly
@@ -266,11 +266,60 @@ type cost = { mutable visited : int; mutable pruned : int }
 (** [cost ()] is a fresh zeroed scratch. *)
 val cost : unit -> cost
 
-(** [query_box ?cost t b] lists the stored points inside [b]
-    (half-open, as {!Box.contains}) — element for element the list
-    {!Pr_quadtree.query_box} returns on [freeze t]. Subtrees whose
-    cells miss [b] are pruned; subtrees whose cells [b] contains are
-    drained without per-point tests. *)
+(** {3 Answers into a sink}
+
+    The range, k-NN, nearest and cell kernels append their answer
+    points to a caller-owned {!Sink} in the wire's point format (16
+    bytes per point, the IEEE-754 bits of [x] then [y], little-endian)
+    and build nothing per answer point. A sink with a limit
+    ({!Sink.set_limit}) stops a kernel's walk at the first point that
+    would cross it: the kernel raises {!Sink.Full}, leaving the points
+    already written. The answer order of each kernel is the order of
+    the list its decoder below returns. *)
+
+(** [range_into ?cost t b s] appends the stored points inside [b]
+    (half-open, as {!Box.contains}) to [s], in the order of
+    {!Pr_quadtree.query_box} on [freeze t]. Subtrees whose cells miss
+    [b] are pruned; subtrees whose cells [b] contains are drained
+    without per-point tests. *)
+val range_into : ?cost:cost -> t -> Box.t -> Sink.t -> unit
+
+(** [knn_into ?cost t k p s] appends up to [k] stored points closest to
+    [p], nearest first (ties arbitrary), via the shared
+    {!Pqueue.Neighbors} bound, on the same traversal as
+    {!nearest_into}. Raises [Invalid_argument] if [k < 0]. *)
+val knn_into : ?cost:cost -> t -> int -> Point.t -> Sink.t -> unit
+
+(** [nearest_into ?cost t p s] appends a stored point at minimal
+    Euclidean distance from [p] (ties arbitrary), or nothing when [t]
+    is empty. Children are visited closest-first under the same
+    clamp-distance bound as {!Pr_quadtree.nearest}; the child ranking
+    packs into one int — no per-node scratch arrays. *)
+val nearest_into : ?cost:cost -> t -> Point.t -> Sink.t -> unit
+
+(** [cell_into ?cost t p s] finds the leaf cell containing [p], appends
+    the points stored in it (chain order) and returns its depth — the
+    arena analog of {!Pr_quadtree.leaf_at}. A point descent enters
+    [depth + 1] nodes; it runs on integer Morton bits and writes
+    nothing to the arena. Raises [Invalid_argument] when [p] is outside
+    the unit square. *)
+val cell_into : ?cost:cost -> t -> Point.t -> Sink.t -> int
+
+(** [cell_block p depth] is the depth-[depth] dyadic cell containing
+    [p]: the block of the leaf {!cell_into} found when it returned
+    [depth]. *)
+val cell_block : Point.t -> int -> Box.t
+
+(** {3 Decoded answers}
+
+    The same kernels, their points decoded into a list through a
+    per-domain scratch sink: a point record and a cons cell per answer
+    point, nothing else per point. For tests, analysis and callers that
+    want values rather than bytes. *)
+
+(** [query_box ?cost t b] is {!range_into}'s answer as a list —
+    element for element the list {!Pr_quadtree.query_box} returns on
+    [freeze t]. *)
 val query_box : ?cost:cost -> t -> Box.t -> Point.t list
 
 (** [count_in_box ?cost t b] is [List.length (query_box t b)] without
@@ -279,25 +328,18 @@ val query_box : ?cost:cost -> t -> Box.t -> Point.t list
     nothing. *)
 val count_in_box : ?cost:cost -> t -> Box.t -> int
 
-(** [nearest ?cost t p] is a stored point at minimal Euclidean distance
-    from [p] (ties arbitrary), or [None] when empty. Children are
-    visited closest-first under the same clamp-distance bound as
-    {!Pr_quadtree.nearest}; the child ranking packs into one int — no
-    per-node scratch arrays. *)
+(** [nearest ?cost t p] is {!nearest_into}'s answer: [None] when [t] is
+    empty. *)
 val nearest : ?cost:cost -> t -> Point.t -> Point.t option
 
-(** [k_nearest ?cost t k p] is up to [k] stored points closest to [p],
-    nearest first (ties arbitrary), via the shared {!Pqueue.Neighbors}
-    bound, on the same traversal as {!nearest}. Raises
-    [Invalid_argument] if [k < 0]. *)
+(** [k_nearest ?cost t k p] is {!knn_into}'s answer as a list, nearest
+    first. Raises [Invalid_argument] if [k < 0]. *)
 val k_nearest : ?cost:cost -> t -> int -> Point.t -> Point.t list
 
 (** [cell_at ?cost t p] is the leaf cell containing [p]: its depth, its
-    block, and the points stored in it — the arena analog of
-    {!Pr_quadtree.leaf_at}. A point descent enters [depth + 1] nodes;
-    it runs on integer Morton bits, writes nothing, and allocates only
-    the answer. Raises [Invalid_argument] when [p] is outside the unit
-    square. *)
+    block ({!cell_block}), and the points {!cell_into} appends. It
+    allocates only the answer. Raises [Invalid_argument] when [p] is
+    outside the unit square. *)
 val cell_at : ?cost:cost -> t -> Point.t -> int * Box.t * Point.t list
 
 (** [snapshot t] is an independent heap-backed deep copy of the arena —

@@ -70,7 +70,7 @@ let oracle_batches, oracle_size =
         List.init batch_count (fun _ -> Server.run_queries t queries)
       in
       let size =
-        match Server.handle t Wire.Stats with
+        match Server.handle t Server.Stats with
         | Wire.Stats_info { size; _ }, _ -> size
         | _ -> fail "oracle: bad Stats response"
       in
@@ -349,7 +349,7 @@ let telemetry_scrape_consistent () =
     | Ok _ -> ()
     | Error m -> fail "%s: invalid metrics JSON: %s" what m));
   let latency_total =
-    Array.fold_left
+    List.fold_left
       (fun acc (name, snap) ->
         if String.length name >= 14 && String.sub name 0 14 = "serve.latency."
         then
@@ -371,11 +371,11 @@ let telemetry_scrape_consistent () =
   in
   if
     not
-      (Array.exists
+      (List.exists
          (fun l -> contains l "serve.epoch.publish")
          info.Wire.events)
   then fail "%s: no epoch-publish event in the scrape" what;
-  if Array.length info.Wire.flight = 0 then
+  if info.Wire.flight = [] then
     fail "%s: flight recorder came back empty" what
 
 let () =

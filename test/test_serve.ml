@@ -11,6 +11,7 @@ module Sampler = Popan_rng.Sampler
 module Pqueue = Popan_trees.Pqueue
 module Pr_arena = Popan_trees.Pr_arena
 module Pr_quadtree = Popan_trees.Pr_quadtree
+module Sink = Popan_trees.Sink
 module Workload = Popan_experiments.Workload
 module Codec = Popan_store.Codec
 module Parallel = Popan_parallel
@@ -724,14 +725,14 @@ let server_tests =
         Fun.protect
           ~finally:(fun () -> Server.shutdown t)
           (fun () ->
-            (match Server.handle t Wire.Stats with
+            (match Server.handle t Server.Stats with
             | Wire.Stats_info { epoch; size; batches; live_epochs }, true ->
               check_int "epoch" 0 epoch;
               check_int "size" 100 size;
               check_int "batches" 0 batches;
               check_int "live" 1 live_epochs
             | _ -> Alcotest.fail "bad stats response");
-            match Server.handle t Wire.Quit with
+            match Server.handle t Server.Quit with
             | Wire.Bye, false -> ()
             | _ -> Alcotest.fail "bad quit response"));
   ]
@@ -872,13 +873,13 @@ let sample_telemetry () =
     metrics_json = {|{"schema":"popan-metrics-2"}|};
     prometheus = "# TYPE popan_x counter\npopan_x 1\n";
     sketches =
-      [|
+      [
         ("serve.latency.range", Sketch.snapshot s);
         ("serve.visited.range", Sketch.snapshot s);
-      |];
+      ];
     events =
-      [| {|{"ts":1.0,"seq":0,"level":"info","event":"serve.epoch.publish"}|} |];
-    flight = Array.init 9 entry;
+      [ {|{"ts":1.0,"seq":0,"level":"info","event":"serve.epoch.publish"}|} ];
+    flight = List.init 9 entry;
   }
 
 let corrupt_response_frame_rejected ~mangle =
@@ -931,12 +932,12 @@ let telemetry_tests =
           (roundtrip Wire.response (Wire.Telemetry_info t));
         match Codec.decode Wire.response (Codec.encode Wire.response (Wire.Telemetry_info t)) with
         | Wire.Telemetry_info t' ->
-          let _, snap = t'.Wire.sketches.(0) in
+          let _, snap = List.hd t'.Wire.sketches in
           check_bool "decoded snapshot still validates" true
             (Result.is_ok (Sketch.of_snapshot snap));
           check_bool "quantiles survive the wire" true
             (Sketch.snapshot_quantile snap 0.9
-            = Sketch.snapshot_quantile (snd t.Wire.sketches.(0)) 0.9)
+            = Sketch.snapshot_quantile (snd (List.hd t.Wire.sketches)) 0.9)
         | _ -> Alcotest.fail "decoded to a different response");
     Alcotest.test_case "truncated telemetry response frame is rejected"
       `Quick (fun () ->
@@ -975,7 +976,7 @@ let telemetry_tests =
                       Wire.Knn (1 + (i mod 8), Point.make 0.3 0.7))
                 in
                 ignore (Server.run_queries t queries);
-                match Server.handle t Wire.Telemetry with
+                match Server.handle t Server.Telemetry with
                 | Wire.Telemetry_info info, true ->
                   check_int "epoch advanced by the churn batch" 1
                     info.Wire.epoch;
@@ -992,7 +993,7 @@ let telemetry_tests =
                   | Error m -> Alcotest.failf "unparseable metrics json: %s" m);
                   let sketch_count name =
                     match
-                      Array.find_opt
+                      List.find_opt
                         (fun (n, _) -> n = name)
                         info.Wire.sketches
                     with
@@ -1015,12 +1016,12 @@ let telemetry_tests =
                     go 0
                   in
                   check_bool "publish event scraped" true
-                    (Array.exists
+                    (List.exists
                        (fun l -> contains l "serve.epoch.publish")
                        info.Wire.events);
                   check_int "one flight record per query" 200
-                    (Array.length info.Wire.flight);
-                  Array.iter
+                    (List.length info.Wire.flight);
+                  List.iter
                     (fun e ->
                       check_int "flight kind is knn" 2 e.Flight.kind;
                       check_int "flight epoch is the pinned epoch" 0
@@ -1176,6 +1177,25 @@ let with_static_server f =
       }
   in
   Fun.protect ~finally:(fun () -> Server.shutdown t) (fun () -> f t)
+
+(* The hostile oversize batch: 300 whole-square ranges on 2^16 points,
+   300 MiB of answers against the 64 MiB frame limit. *)
+let oversize_points = 1 lsl 16
+let oversize_batch = Wire.Batch (Array.make 300 (Wire.Range Box.unit))
+let oversize_answer = 1 + Sink.uvarint_length oversize_points + (16 * oversize_points)
+
+let oversize_reason =
+  Printf.sprintf "response of more than %d bytes exceeds frame limit"
+    Wire.max_frame
+
+let oversize_server ~jobs =
+  Server.create
+    {
+      Server.default_config with
+      base_points = oversize_points;
+      churn_ops = 0;
+      jobs = Some jobs;
+    }
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -1383,6 +1403,126 @@ let hostile_tests =
                   check_bool "the refused length is over the limit" true
                     (n > Wire.max_frame)
                 | _ -> Alcotest.fail "expected one Refused response")));
+    Alcotest.test_case "an oversize batch stops early in bounded memory" `Quick
+      (fun () ->
+        (* 300 whole-square ranges on 2^16 points would answer 300 MiB.
+           The sinks' shared tally stops the batch once the frame limit
+           is passed: what they hold stays within the limit plus one
+           answer in progress per domain, and the refusal is typed. The
+           refused batch's storage is given back, and the server then
+           answers the next batch as usual. *)
+        with_telemetry (fun () ->
+            with_scratch (fun scratch ->
+                let jobs = 2 in
+                let t = oversize_server ~jobs in
+                Fun.protect
+                  ~finally:(fun () -> Server.shutdown t)
+                  (fun () ->
+                    let ask req =
+                      match
+                        converse ~scratch t (wire_bytes Wire.write_request req)
+                      with
+                      | false, [ r ], _ -> r
+                      | _ -> Alcotest.fail "expected one response"
+                    in
+                    (match ask oversize_batch with
+                    | Wire.Refused reason ->
+                      Alcotest.(check string)
+                        "the refusal" oversize_reason reason
+                    | _ -> Alcotest.fail "the oversize batch was not refused");
+                    check_int "counted" 1
+                      (Metrics.counter_value
+                         (Metrics.counter "serve.oversize.responses"));
+                    let held = Server.held_bytes t in
+                    if held > Wire.max_frame + (jobs * oversize_answer) then
+                      Alcotest.failf
+                        "the stopped batch held %d bytes, past the %d-byte \
+                         limit plus one %d-byte answer per domain"
+                        held Wire.max_frame oversize_answer;
+                    let kept = Server.retained_bytes t in
+                    if kept > 1 lsl 20 then
+                      Alcotest.failf
+                        "the sinks kept %d bytes after refusing the batch" kept;
+                    match ask (Wire.Batch [| Wire.Count Box.unit |]) with
+                    | Wire.Answers { answers = [| Wire.Count_of c |]; _ } ->
+                      check_int "the next batch is answered" oversize_points c
+                    | _ -> Alcotest.fail "no answer after the refusal"))));
+    Alcotest.test_case "an oversize refusal is the same at jobs 1, 2 and 4"
+      `Quick (fun () ->
+        (* Which answers finish before the batch stops depends on the
+           schedule; the response and the per-kernel counters must
+           not. *)
+        let request = wire_bytes Wire.write_request oversize_batch in
+        let run jobs =
+          with_telemetry (fun () ->
+              with_scratch (fun scratch ->
+                  let t = oversize_server ~jobs in
+                  Fun.protect
+                    ~finally:(fun () -> Server.shutdown t)
+                    (fun () ->
+                      let _, responses, _ = converse ~scratch t request in
+                      check_bool
+                        (Printf.sprintf "a refusal at jobs %d" jobs)
+                        true
+                        (responses = [ Wire.Refused oversize_reason ]);
+                      ( read_file (scratch ^ ".out"),
+                        Metrics.counter_value
+                          (Metrics.counter "serve.queries.range") ))))
+        in
+        let bytes, ranges = run 1 in
+        check_int "every query counted at jobs 1" 300 ranges;
+        List.iter
+          (fun jobs ->
+            let bytes', ranges' = run jobs in
+            check_bool
+              (Printf.sprintf "refusal bytes at jobs %d = jobs 1" jobs)
+              true (bytes' = bytes);
+            check_int
+              (Printf.sprintf "every query counted at jobs %d" jobs)
+              300 ranges')
+          [ 2; 4 ]);
+    Alcotest.test_case "a large batch's sink storage is given back" `Quick
+      (fun () ->
+        (* 512 ranges of a sixteenth of the square each answer about
+           4096 points: 32 MiB of answers, legal. The sinks grow to
+           hold them; the next, one-count batch needs under a quarter
+           of that, so they give it back. *)
+        with_scratch (fun scratch ->
+            let t = oversize_server ~jobs:2 in
+            Fun.protect
+              ~finally:(fun () -> Server.shutdown t)
+              (fun () ->
+                let ask req =
+                  match
+                    converse ~scratch t (wire_bytes Wire.write_request req)
+                  with
+                  | false, [ r ], _ -> r
+                  | _ -> Alcotest.fail "expected one response"
+                in
+                let quarter =
+                  Box.make ~xmin:0.25 ~ymin:0.25 ~xmax:0.5 ~ymax:0.5
+                in
+                (match ask (Wire.Batch (Array.make 512 (Wire.Range quarter))) with
+                | Wire.Answers { answers; _ } ->
+                  check_int "all answered" 512 (Array.length answers)
+                | _ -> Alcotest.fail "the large batch was not answered");
+                let large = Server.held_bytes t in
+                if large < 1 lsl 24 then
+                  Alcotest.failf "the large batch held only %d bytes" large;
+                if Server.retained_bytes t < large then
+                  Alcotest.fail "the sinks did not grow to the large batch";
+                (match ask (Wire.Batch [| Wire.Count Box.unit |]) with
+                | Wire.Answers { answers = [| Wire.Count_of _ |]; _ } -> ()
+                | _ -> Alcotest.fail "the small batch was not answered");
+                let held = Server.held_bytes t
+                and kept = Server.retained_bytes t in
+                if held > 64 then
+                  Alcotest.failf "the small batch held %d bytes" held;
+                if kept > 1 lsl 20 then
+                  Alcotest.failf
+                    "after a %d-byte batch and a %d-byte one, the sinks \
+                     kept %d bytes"
+                    large held kept)));
     Alcotest.test_case "fuzzed frames get a typed response or a clean close"
       `Quick (fun () ->
         check_bool "reframe reproduces the wire's bytes" true
@@ -1469,6 +1609,128 @@ let hostile_tests =
               (Metrics.counter_value (Metrics.counter "serve.disconnects"))));
   ]
 
+(* The streamed producer against the codec. [Server.stream_batch]
+   writes an [Answers] frame from the kernels' bytes; it must be byte
+   for byte the frame the codec builds from [Server.run_batch]'s
+   decoded answers, at jobs 1, 2 and 4 and at any chunk size. The arena
+   holds duplicate-heavy depth-42 leaves beside a uniform population,
+   and the batches mix every answer shape: empty and full [Points],
+   [Count_of], [Cell_info] (depth-42 leaves included) and [Rejected]
+   (k < 0, a cell outside the square). The decoded answers must also
+   be the values the list-returning kernels give. *)
+
+let hot = [ (0.3, 0.3); (0.71, 0.2); (0.5, 0.5) ]
+
+let stream_arena =
+  lazy
+    (let dups =
+       List.concat_map
+         (fun (x, y) -> List.init 40 (fun _ -> Point.make x y))
+         hot
+     in
+     let near =
+       [
+         Point.make 0.3 (0.3 +. ldexp 1.0 (-41));
+         Point.make (0.71 +. ldexp 1.0 (-40)) 0.2;
+       ]
+     in
+     Pr_arena.of_points ~max_depth:42 ~capacity:2
+       (uniform_points 0x5717 3_000 @ dups @ near))
+
+let gen_hot =
+  QCheck2.Gen.(
+    oneof
+      [ map (fun (x, y) -> Point.make x y) (oneofl hot); gen_point ])
+
+let gen_stream_query =
+  QCheck2.Gen.(
+    let* tag = int_range 0 9 in
+    match tag with
+    | 0 -> map (fun b -> Wire.Range b) gen_box
+    | 1 -> map (fun b -> Wire.Count b) gen_box
+    | 2 ->
+      let* k = int_range 0 60 in
+      map (fun p -> Wire.Knn (k, p)) gen_hot
+    | 3 -> map (fun p -> Wire.Nearest p) gen_point
+    | 4 -> map (fun p -> Wire.Cell p) gen_hot
+    | 5 ->
+      let* k = int_range (-3) (-1) in
+      map (fun p -> Wire.Knn (k, p)) gen_point
+    | 6 -> return (Wire.Cell (Point.make 1.5 0.5))
+    | 7 ->
+      (* a small box on a duplicate cluster, or an empty sliver beside
+         one *)
+      let* x, y = oneofl hot in
+      let* off, w = oneofl [ (1e-12, 1e-12); (0.0, 1e-9); (0.0, 0.01) ] in
+      return
+        (Wire.Range
+           (Box.make ~xmin:(x +. off) ~ymin:(y +. off) ~xmax:(x +. off +. w)
+              ~ymax:(y +. off +. w)))
+    | 8 -> map (fun p -> Wire.Knn (0, p)) gen_point
+    | _ -> map (fun b -> Wire.Count b) gen_box)
+
+(* The answer values the list-returning kernels give, assembled as the
+   server once did: the oracle for what the streamed bytes say. *)
+let listed_answer arena = function
+  | Wire.Range b -> Wire.Points (Array.of_list (Pr_arena.query_box arena b))
+  | Wire.Count b -> Wire.Count_of (Pr_arena.count_in_box arena b)
+  | Wire.Knn (k, p) -> (
+    match Pr_arena.k_nearest arena k p with
+    | ps -> Wire.Points (Array.of_list ps)
+    | exception Invalid_argument m -> Wire.Rejected m)
+  | Wire.Nearest p ->
+    Wire.Points
+      (match Pr_arena.nearest arena p with None -> [||] | Some q -> [| q |])
+  | Wire.Cell p -> (
+    match Pr_arena.cell_at arena p with
+    | d, b, ps -> Wire.Cell_info (d, b, Array.of_list ps)
+    | exception Invalid_argument m -> Wire.Rejected m)
+
+let stream_tests =
+  [
+    Alcotest.test_case "streamed frame equals the framed run_batch answers"
+      `Quick (fun () ->
+        let arena = Lazy.force stream_arena in
+        let key = Lazy.force frame_key in
+        let epoch = 7 in
+        Parallel.Pool.with_pool ~jobs:2 (fun p2 ->
+            Parallel.Pool.with_pool ~jobs:4 (fun p4 ->
+                Parallel.Pool.with_pool ~jobs:1 (fun p1 ->
+                    let law (qs, chunk) =
+                      let streamed pool =
+                        wire_bytes
+                          (fun oc qs ->
+                            Server.stream_batch ~chunk ~epoch pool arena qs oc)
+                          qs
+                      in
+                      let framed pool =
+                        with_prefix
+                          (Codec.to_artifact ~kind:Wire.response_kind
+                             ~version:Wire.version ~key Wire.response
+                             (Wire.Answers
+                                {
+                                  epoch;
+                                  answers =
+                                    Server.run_batch ~chunk ~epoch pool arena qs;
+                                }))
+                      in
+                      let s1 = streamed p1 in
+                      answers_bytes (Server.run_batch ~chunk p1 arena qs)
+                      = answers_bytes (Array.map (listed_answer arena) qs)
+                      && List.for_all
+                           (fun pool -> streamed pool = s1 && framed pool = s1)
+                           [ p1; p2; p4 ]
+                    in
+                    QCheck2.Test.check_exn
+                      (QCheck2.Test.make ~count:40
+                         ~name:"streamed = framed run_batch"
+                         QCheck2.Gen.(
+                           pair
+                             (array_size (int_range 0 600) gen_stream_query)
+                             (int_range 1 300))
+                         law)))));
+  ]
+
 let () =
   Alcotest.run "popan-serve"
     [
@@ -1478,7 +1740,7 @@ let () =
       ("snapshot", snapshot_tests);
       ("epochs", epoch_tests);
       ("wire", wire_tests);
-      ("batch", batch_tests);
+      ("batch", batch_tests @ stream_tests);
       ("server", server_tests);
       ("leftright", left_right_tests);
       ("telemetry", telemetry_tests);
